@@ -1,10 +1,10 @@
 # Pre-merge gate: `make check` runs exactly what a PR must keep green —
-# tier-1 (build + full test suite), vet, and the race-sensitive packages
-# under the race detector.
+# tier-1 (build + full test suite), vet, gofmt, the race-sensitive
+# packages under the race detector, and the benchmark module.
 
 GO ?= go
 
-.PHONY: all build test vet race drift relearn smoke scenario check stress bench benchcmp benchgate clean
+.PHONY: all build test vet fmt msebench-check race drift relearn smoke scenario check stress bench benchcmp benchgate clean
 
 all: build
 
@@ -16,6 +16,17 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file in the repository (benchmark module
+# included) is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
+
+# msebench-check vets and tests the benchmark program.  msebench/ is its
+# own module, outside ./..., so without this a change to an API it calls
+# would break the benchmark unnoticed.
+msebench-check:
+	cd msebench && $(GO) vet ./... && $(GO) test ./...
 
 # The concurrency-heavy packages — observability, the service layer, the
 # tree-distance cache, fingerprinting, the worker pool, the parallel
@@ -61,7 +72,7 @@ scenario:
 	$(GO) test -race -count=1 -run 'TestScenario' ./internal/scenario
 	$(GO) test -count=1 -run 'TestLoadgenSmoke' ./cmd/mse-loadgen
 
-check: build vet test race drift relearn smoke scenario
+check: build vet fmt test msebench-check race drift relearn smoke scenario
 
 # stress storms the extraction service with hundreds of concurrent
 # deadline-bearing /extract requests under the race detector: admission

@@ -2,6 +2,7 @@ package mse
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"mse/internal/dom"
 	"mse/internal/editdist"
 	"mse/internal/synth"
-	"mse/internal/wrapper"
 )
 
 // TestDifferentialCacheAndParallelism is the end-to-end soundness check for
@@ -182,7 +182,7 @@ func TestDifferentialArenas(t *testing.T) {
 }
 
 // TestDifferentialLeasedExtraction checks the serving-path lease contract:
-// sections returned by ExtractLeased must compare byte-identical before
+// sections returned by ExtractLeasedObs must compare byte-identical before
 // and after the lease is released, and repeated leased extractions of the
 // same page through the recycled pools must reproduce each other exactly.
 func TestDifferentialLeasedExtraction(t *testing.T) {
@@ -199,7 +199,10 @@ func TestDifferentialLeasedExtraction(t *testing.T) {
 	gp := e.Page(7)
 	var first []byte
 	for i := 0; i < 5; i++ {
-		sections, lease := ew.ExtractLeased(gp.HTML, gp.Query)
+		sections, lease, err := ew.ExtractLeasedObs(context.Background(), gp.HTML, gp.Query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		before, err := json.Marshal(sections)
 		if err != nil {
 			t.Fatal(err)
@@ -218,72 +221,6 @@ func TestDifferentialLeasedExtraction(t *testing.T) {
 			first = before
 		} else if !bytes.Equal(before, first) {
 			t.Fatalf("iteration %d differs from the first leased extraction", i)
-		}
-	}
-}
-
-// TestDifferentialCompiledWrappers is the soundness check for the compiled
-// extraction fast path (wrapper compilation + query-aware DOM pruning):
-// across the full paper-scale synthetic testbed — 119 engines, 38
-// multi-section — every extraction through the compiled path (prune pass,
-// pruned render with skeleton lines and early stop, interned-signature
-// partitioning, precompiled boundary markers) must be byte-identical to
-// the interpreted legacy path restored by wrapper.SetCompiledEnabled(false).
-// Drifted variants of every engine run too, so the fallback machinery
-// (signature descend, tag-level classification, cohesion mining on
-// skeleton-free ranges) is differential-tested, not just the happy path.
-// Compilation must also leave the wrapper's serialized form untouched.
-func TestDifferentialCompiledWrappers(t *testing.T) {
-	was := wrapper.CompiledEnabled()
-	defer wrapper.SetCompiledEnabled(was)
-
-	bed := synth.GenerateTestbed(synth.DefaultConfig())
-	if testing.Short() {
-		bed = bed[:12]
-	}
-	for ei, e := range bed {
-		var samples []*core.SamplePage
-		for q := 0; q < 5; q++ {
-			gp := e.Page(q)
-			samples = append(samples, &core.SamplePage{HTML: gp.HTML, Query: gp.Query})
-		}
-		ew, err := core.BuildWrapper(samples, core.DefaultOptions())
-		if err != nil {
-			t.Fatalf("engine %d: %v", ei, err)
-		}
-		wjBefore, err := json.Marshal(ew)
-		if err != nil {
-			t.Fatalf("engine %d: marshal wrapper: %v", ei, err)
-		}
-		drifted := e.Drifted()
-		extractBoth := func(html string, query []string, what string, q int) {
-			wrapper.SetCompiledEnabled(false)
-			ref, err := json.Marshal(ew.Extract(html, query))
-			if err != nil {
-				t.Fatalf("engine %d %s page %d: marshal ref: %v", ei, what, q, err)
-			}
-			wrapper.SetCompiledEnabled(true)
-			got, err := json.Marshal(ew.Extract(html, query))
-			if err != nil {
-				t.Fatalf("engine %d %s page %d: marshal compiled: %v", ei, what, q, err)
-			}
-			if !bytes.Equal(got, ref) {
-				t.Errorf("engine %d %s page %d: compiled extraction differs\nref: %s\ngot: %s",
-					ei, what, q, truncate(ref), truncate(got))
-			}
-		}
-		for q := 5; q < 10; q++ {
-			gp := e.Page(q)
-			extractBoth(gp.HTML, gp.Query, "fresh", q)
-			dp := drifted.Page(q)
-			extractBoth(dp.HTML, dp.Query, "drifted", q)
-		}
-		wjAfter, err := json.Marshal(ew)
-		if err != nil {
-			t.Fatalf("engine %d: re-marshal wrapper: %v", ei, err)
-		}
-		if !bytes.Equal(wjBefore, wjAfter) {
-			t.Errorf("engine %d: compilation changed the wrapper's serialized form", ei)
 		}
 	}
 }

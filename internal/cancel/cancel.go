@@ -1,9 +1,11 @@
 // Package cancel provides the cooperative-cancellation primitive the MSE
 // pipeline threads through its long-running loops.  A Token is derived
-// from a context.Context at an API boundary (core.BuildWrapperCtx,
-// core.ExtractCtx) and handed down to the hot loops — the Zhang-Shasha
-// dynamic program, the cluster score-matrix fill, the layout render walk,
-// wrapper application — which poll it at coarse checkpoints.
+// from a context.Context at the two API boundaries that take one,
+// core.BuildWrapperCtx and the extraction entry point
+// core.(*EngineWrapper).ExtractLeasedObs, and handed down to the hot
+// loops — the Zhang-Shasha dynamic program, the cluster score-matrix
+// fill, the prune DFS, the layout render walk, wrapper application —
+// which poll it at coarse checkpoints.
 //
 // Cancellation unwinds by panicking with Signal rather than by threading
 // an error return through every pipeline stage: the deep call chains

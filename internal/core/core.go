@@ -15,6 +15,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"sync/atomic"
@@ -69,14 +70,15 @@ type Options struct {
 	// Obs, when non-nil, receives one trace per BuildWrapper /
 	// AnalyzePages / Extract call: a root span with one child span per
 	// pipeline step plus stage counters (pages, sections, records,
-	// tree_dist_calls).  When nil — the default — instrumentation
-	// reduces to nil-receiver checks and costs nothing.
+	// tree_dist_calls).  ExtractLeasedObs ignores it and records under
+	// its caller's root span instead.  When nil — the default —
+	// instrumentation reduces to nil-receiver checks and costs nothing.
 	Obs *obs.Tracer
 
-	// cancel is the cooperative-cancellation token threaded through the
-	// pipeline by the ctx-accepting entry points (BuildWrapperCtx,
-	// ExtractCtx, ExtractLeasedCtx).  Always nil on the plain entry
-	// points, so they keep their historical never-fails behaviour.
+	// cancel is the cooperative-cancellation token BuildWrapperCtx threads
+	// through the build pipeline; nil on BuildWrapper, which never fails
+	// by cancellation.  Extraction does not read it: ExtractLeasedObs
+	// derives a per-call token from its own ctx.
 	cancel *cancel.Token
 }
 
@@ -377,17 +379,20 @@ func avgStart(g *cluster.Group) float64 {
 // order; overlapping extractions are resolved in favour of regular
 // wrappers over family matches.
 //
-// When the wrapper's Options.Obs is set, each call records an "extract"
-// root span with render / wrapper_build / families children and sections
-// and records counters.
+// Extract is ExtractLeasedObs without a context and with the pooled page
+// released before returning.  When the wrapper's Options.Obs is set, each
+// call records an "extract" root span with render / prune / wrapper_build
+// / families children and sections and records counters.
 func (ew *EngineWrapper) Extract(html string, query []string) []*Section {
-	sections, lease := ew.ExtractLeased(html, query)
+	root := ew.opt.Obs.Start(obs.RootExtract)
+	defer root.End()
+	sections, lease, _ := ew.ExtractLeasedObs(context.Background(), html, query, root)
 	lease.Release()
 	return sections
 }
 
 // PageLease holds the pooled parse arena and render scratch behind one
-// ExtractLeased call.  Releasing it returns both to their pools; callers
+// ExtractLeasedObs call.  Releasing it returns both to their pools; callers
 // must do so only once they no longer reference the page.  The extracted
 // sections themselves are plain strings and ints and always outlive the
 // lease.  A nil lease is valid and Release is idempotent — including under
@@ -426,47 +431,49 @@ func (l *PageLease) Release() {
 	}
 }
 
-// ExtractLeased is Extract on the pooled fast path: the DOM comes from a
-// pooled parse arena and the page from a pooled render scratch.  The
-// returned sections are ordinary heap values; the lease must be released
-// (exactly once, after the response derived from the sections and page is
-// complete) to recycle the per-request memory.
-func (ew *EngineWrapper) ExtractLeased(html string, query []string) ([]*Section, *PageLease) {
-	root := ew.opt.Obs.Start(obs.RootExtract)
-	defer root.End()
-	lease := &PageLease{}
-	sections := ew.extractLeasedInto(lease, html, query, nil, root, ew.opt.Wrapper)
-	return sections, lease
-}
-
-// extractLeasedInto parses, renders and extracts html into the caller's
-// lease, choosing between the compiled fast path (prune + pruned render +
-// compiled wrappers) and the interpreted legacy path.  The lease's fields
-// are populated as resources are acquired, so a caller with a deferred
-// lease.Release covers every partial state when the walk panics
-// (cancellation); callers without recovery keep ExtractLeased's historical
-// propagate-the-panic behaviour.
-func (ew *EngineWrapper) extractLeasedInto(lease *PageLease, html string, query []string, tok *cancel.Token, root *obs.Span, wopt wrapper.Options) []*Section {
-	if wrapper.CompiledEnabled() {
-		return ew.extractCompiled(lease, html, query, tok, root, wopt)
-	}
-	renderSp := root.Child(obs.StepRender)
-	t0 := renderSp.Begin()
-	doc, arena := htmlparse.ParsePooled(html)
-	lease.arena = arena
-	lease.page = layout.RenderPooledCancel(doc, tok)
-	renderSp.AddSince(t0)
-	return ew.extractFromPage(lease.page, query, root, wopt)
-}
-
-// extractCompiled is the compiled extraction hot path: one pruning DFS
-// locates every wrapper's candidate subtrees and marks them on the DOM,
-// the render materializes full lines only where extraction can read them
-// (skeletons elsewhere, early stop after the last candidate region), and
-// the compiled wrappers consume the pre-located candidates instead of
-// re-walking the tree.  Output is byte-identical to the interpreted path
-// (differential-tested across the synthetic testbed).
-func (ew *EngineWrapper) extractCompiled(lease *PageLease, html string, query []string, tok *cancel.Token, root *obs.Span, wopt wrapper.Options) []*Section {
+// ExtractLeasedObs is the extraction entry point of the package; Extract
+// is its convenience form.  One pruning DFS locates every wrapper's
+// candidate subtrees and marks them on the DOM, the render materializes
+// full lines only where extraction can read them (skeletons elsewhere,
+// early stop after the last candidate region), and the compiled wrappers
+// consume the pre-located candidates instead of re-walking the tree.  The
+// DOM comes from a pooled parse arena and the page from a pooled render
+// scratch.  The interpreted SectionWrapper.Apply / Family.Apply survive
+// only as the test reference this path is differential-tested against.
+//
+// Per-stage spans (render, prune, wrapper_build, families) and the
+// sections/records counters are recorded under the caller-supplied root;
+// services pass a fresh obs.NewSpan per request to get that one
+// extraction's stage timings.  root may be nil, which disables tracing.
+//
+// ctx is polled at the prune, render and wrapper-application checkpoints;
+// a ctx that can never be canceled (context.Background) costs nothing.
+// On cancellation every pooled resource acquired for the call is released
+// before returning, sections and lease are nil, and err satisfies
+// errors.Is(err, ErrCanceled).  On success the caller owns the lease and
+// must release it exactly once, after the response derived from the
+// sections and page is complete.
+func (ew *EngineWrapper) ExtractLeasedObs(ctx context.Context, html string, query []string, root *obs.Span) (sections []*Section, lease *PageLease, err error) {
+	tok := cancel.FromContext(ctx)
+	// The lease exists before any pooled acquisition so that the deferred
+	// release below covers every partial state: arena acquired but render
+	// panicked (page still nil — RenderPooledPruned recycles its own
+	// scratch on the way out), or both acquired but Apply panicked.
+	lease = &PageLease{}
+	defer func() {
+		if r := recover(); r != nil {
+			lease.Release()
+			lease = nil
+			sections = nil
+			if cancel.IsSignal(r) {
+				err = canceledErr(ctx)
+				return
+			}
+			panic(r)
+		}
+	}()
+	wopt := ew.opt.Wrapper
+	wopt.Cancel = tok
 	ce := ew.compiledEngine()
 	renderSp := root.Child(obs.StepRender)
 	t0 := renderSp.Begin()
@@ -501,41 +508,12 @@ func (ew *EngineWrapper) extractCompiled(lease *PageLease, html string, query []
 		all = append(all, cf.ApplyCands(page, res.Cands(len(ce.ws)+i), wopt)...)
 	}
 	famSp.AddSince(t0)
-	return finishSections(all, root)
-}
-
-// ExtractFromPage is Extract for an already rendered page.
-func (ew *EngineWrapper) ExtractFromPage(page *layout.Page, query []string) []*Section {
-	root := ew.opt.Obs.Start(obs.RootExtract)
-	defer root.End()
-	return ew.extractFromPage(page, query, root, ew.opt.Wrapper)
-}
-
-// extractFromPage applies every wrapper and family to the page.  opt is
-// passed explicitly (rather than read from ew) so the ctx entry points can
-// install a per-call cancellation token without mutating the shared
-// EngineWrapper.
-func (ew *EngineWrapper) extractFromPage(page *layout.Page, query []string, span *obs.Span, opt wrapper.Options) []*Section {
-	var all []*Section
-	wrapSp := span.Child(obs.StepWrapper)
-	t0 := wrapSp.Begin()
-	for _, w := range ew.Wrappers {
-		if s := w.Apply(page, query, opt); s != nil {
-			all = append(all, s)
-		}
-	}
-	wrapSp.AddSince(t0)
-	famSp := span.Child(obs.StepFamilies)
-	t0 = famSp.Begin()
-	for _, f := range ew.Families {
-		all = append(all, f.Apply(page, query, opt)...)
-	}
-	famSp.AddSince(t0)
-	return finishSections(all, span)
+	return finishSections(all, root), lease, nil
 }
 
 // finishSections orders and deduplicates the raw per-wrapper extractions —
-// the shared tail of the interpreted and compiled paths.
+// the shared tail of ExtractLeasedObs and of the interpreted test
+// reference.
 func finishSections(all []*Section, span *obs.Span) []*Section {
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].Start != all[j].Start {

@@ -6,11 +6,10 @@ import (
 	"fmt"
 
 	"mse/internal/cancel"
-	"mse/internal/obs"
 )
 
 // ErrCanceled is returned (wrapped, carrying the context's own error) by
-// the ctx-accepting entry points when the context is canceled or its
+// BuildWrapperCtx and ExtractLeasedObs when the context is canceled or its
 // deadline expires while the pipeline is running.  Test with
 // errors.Is(err, core.ErrCanceled); the context cause is reachable through
 // errors.Is(err, context.Canceled) / context.DeadlineExceeded as usual.
@@ -71,76 +70,4 @@ func BuildWrapperCtx(ctx context.Context, samples []*SamplePage, opt Options) (e
 	// plain Extracts must not observe a dead context.
 	ew.opt = opt
 	return ew, nil
-}
-
-// ExtractCtx is Extract honouring ctx; see BuildWrapperCtx for the
-// cancellation contract.
-func (ew *EngineWrapper) ExtractCtx(ctx context.Context, html string, query []string) ([]*Section, error) {
-	sections, lease, err := ew.ExtractLeasedCtx(ctx, html, query)
-	lease.Release()
-	return sections, err
-}
-
-// ExtractLeasedCtx is ExtractLeased honouring ctx.  On cancellation (or
-// any panic) every pooled resource acquired for the call is released
-// before the function returns, and the returned lease is nil.  On success
-// the caller owns the lease exactly as with ExtractLeased.
-func (ew *EngineWrapper) ExtractLeasedCtx(ctx context.Context, html string, query []string) ([]*Section, *PageLease, error) {
-	if cancel.FromContext(ctx) == nil {
-		s, l := ew.ExtractLeased(html, query)
-		return s, l, nil
-	}
-	root := ew.opt.Obs.Start(obs.RootExtract)
-	defer root.End()
-	return ew.ExtractLeasedObs(ctx, html, query, root)
-}
-
-// CountsCtx extracts the page and reports only the section and record
-// counts, releasing all pooled memory before returning.  It is the canary
-// scorer of the relearn lifecycle: validation needs the shape of a
-// wrapper's output on a held-out page, not the content, and must not hold
-// leases across many pages.  The cancellation contract is ExtractCtx's.
-func (ew *EngineWrapper) CountsCtx(ctx context.Context, html string, query []string) (sections, records int, err error) {
-	secs, lease, err := ew.ExtractLeasedCtx(ctx, html, query)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, s := range secs {
-		records += len(s.Records)
-	}
-	lease.Release()
-	return len(secs), records, nil
-}
-
-// ExtractLeasedObs is ExtractLeasedCtx recording its per-stage spans —
-// render, wrapper_build, families, plus the sections/records counters —
-// under the caller-supplied root span instead of the wrapper's Tracer.
-// Services use it with a fresh obs.NewSpan per request to obtain stage
-// timings for that one extraction (a wide-event journal line) without the
-// Tracer's accumulate-forever semantics.  root may be nil, which disables
-// tracing; ctx may lack a cancel token, which disables cancellation.  The
-// cancellation and lease contract is exactly ExtractLeasedCtx's.
-func (ew *EngineWrapper) ExtractLeasedObs(ctx context.Context, html string, query []string, root *obs.Span) (sections []*Section, lease *PageLease, err error) {
-	tok := cancel.FromContext(ctx)
-	// The lease exists before any pooled acquisition so that the deferred
-	// release below covers every partial state: arena acquired but render
-	// panicked (page still nil — RenderPooledCancel recycles its own
-	// scratch on the way out), or both acquired but Apply panicked.
-	lease = &PageLease{}
-	defer func() {
-		if r := recover(); r != nil {
-			lease.Release()
-			lease = nil
-			sections = nil
-			if cancel.IsSignal(r) {
-				err = canceledErr(ctx)
-				return
-			}
-			panic(r)
-		}
-	}()
-	wopt := ew.opt.Wrapper
-	wopt.Cancel = tok
-	sections = ew.extractLeasedInto(lease, html, query, tok, root, wopt)
-	return sections, lease, nil
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"mse/internal/editdist"
 	"mse/internal/obs"
+	"mse/internal/par"
 	"mse/internal/synth"
 )
 
@@ -20,56 +22,69 @@ func obsSamples(t testing.TB) []*SamplePage {
 
 // TestBuildWrapperSpans asserts the tentpole tracing contract: one
 // build_wrapper root per call, exactly one child span per pipeline step,
-// child durations summing to no more than the root, and the stage
-// counters populated.
+// child durations bounded by the root, and the stage counters populated.
+// Step spans accumulate worker time, so Σsteps ≤ root holds only on the
+// serial path; with W workers the bound is W × root.
 func TestBuildWrapperSpans(t *testing.T) {
-	samples := obsSamples(t)
-	opt := DefaultOptions()
-	opt.Obs = obs.NewTracer()
-	if _, err := BuildWrapper(samples, opt); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name        string
+		parallelism int
+	}{{"serial", 1}, {"parallel", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			samples := obsSamples(t)
+			opt := DefaultOptions()
+			opt.Parallelism = tc.parallelism
+			opt.Obs = obs.NewTracer()
+			// A warm tree-distance cache from an earlier run (-count=2)
+			// would answer every distance without a tree_dist call.
+			editdist.ResetCache()
+			if _, err := BuildWrapper(samples, opt); err != nil {
+				t.Fatal(err)
+			}
 
-	roots := opt.Obs.Snapshot()
-	if len(roots) != 1 {
-		t.Fatalf("roots = %d, want 1", len(roots))
-	}
-	root := roots[0]
-	if root.Name != obs.RootBuildWrapper {
-		t.Fatalf("root name = %q", root.Name)
-	}
-	seen := map[string]int{}
-	var sum int64
-	for _, c := range root.Children {
-		seen[c.Name]++
-		sum += int64(c.Duration)
-	}
-	for _, step := range obs.PipelineSteps {
-		if seen[step] != 1 {
-			t.Errorf("step %q has %d spans, want exactly 1", step, seen[step])
-		}
-	}
-	if len(root.Children) != len(obs.PipelineSteps) {
-		t.Errorf("children = %d, want %d", len(root.Children), len(obs.PipelineSteps))
-	}
-	if sum > int64(root.Duration) {
-		t.Errorf("step durations sum %d > root duration %d", sum, int64(root.Duration))
-	}
-	if root.Duration <= 0 {
-		t.Errorf("root duration = %v", root.Duration)
-	}
+			roots := opt.Obs.Snapshot()
+			if len(roots) != 1 {
+				t.Fatalf("roots = %d, want 1", len(roots))
+			}
+			root := roots[0]
+			if root.Name != obs.RootBuildWrapper {
+				t.Fatalf("root name = %q", root.Name)
+			}
+			seen := map[string]int{}
+			var sum int64
+			for _, c := range root.Children {
+				seen[c.Name]++
+				sum += int64(c.Duration)
+			}
+			for _, step := range obs.PipelineSteps {
+				if seen[step] != 1 {
+					t.Errorf("step %q has %d spans, want exactly 1", step, seen[step])
+				}
+			}
+			if len(root.Children) != len(obs.PipelineSteps) {
+				t.Errorf("children = %d, want %d", len(root.Children), len(obs.PipelineSteps))
+			}
+			workers := int64(par.Workers(opt.Parallelism))
+			if sum > int64(root.Duration)*workers {
+				t.Errorf("step durations sum %d > root duration %d × %d workers", sum, int64(root.Duration), workers)
+			}
+			if root.Duration <= 0 {
+				t.Errorf("root duration = %v", root.Duration)
+			}
 
-	if got := root.Counters["pages"]; got != 5 {
-		t.Errorf("pages counter = %d, want 5", got)
-	}
-	if root.Counters["sections"] <= 0 {
-		t.Errorf("sections counter = %d, want > 0", root.Counters["sections"])
-	}
-	if root.Counters["records"] <= 0 {
-		t.Errorf("records counter = %d, want > 0", root.Counters["records"])
-	}
-	if root.Counters["tree_dist_calls"] <= 0 {
-		t.Errorf("tree_dist_calls counter = %d, want > 0", root.Counters["tree_dist_calls"])
+			if got := root.Counters["pages"]; got != 5 {
+				t.Errorf("pages counter = %d, want 5", got)
+			}
+			if root.Counters["sections"] <= 0 {
+				t.Errorf("sections counter = %d, want > 0", root.Counters["sections"])
+			}
+			if root.Counters["records"] <= 0 {
+				t.Errorf("records counter = %d, want > 0", root.Counters["records"])
+			}
+			if root.Counters["tree_dist_calls"] <= 0 {
+				t.Errorf("tree_dist_calls counter = %d, want > 0", root.Counters["tree_dist_calls"])
+			}
+		})
 	}
 }
 

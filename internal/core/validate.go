@@ -3,10 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"mse/internal/layout"
-
-	"mse/internal/htmlparse"
 )
 
 // WrapperHealth describes how one section wrapper behaved over a set of
@@ -64,8 +60,9 @@ func (r *ValidationReport) String() string {
 	return sb.String()
 }
 
-// Validate applies the wrapper to fresh result pages and reports each
-// section wrapper's health.  It never modifies the wrapper.
+// Validate applies the wrapper to fresh result pages through Extract — the
+// same compiled, pooled path serving uses — and reports each section
+// wrapper's health.  It never modifies the wrapper.
 func (ew *EngineWrapper) Validate(pages []*SamplePage) *ValidationReport {
 	report := &ValidationReport{Pages: len(pages)}
 	health := map[int]*WrapperHealth{}
@@ -73,8 +70,7 @@ func (ew *EngineWrapper) Validate(pages []*SamplePage) *ValidationReport {
 		health[w.Order] = &WrapperHealth{Order: w.Order}
 	}
 	for _, sp := range pages {
-		page := layout.Render(htmlparse.Parse(sp.HTML))
-		for _, s := range ew.ExtractFromPage(page, sp.Query) {
+		for _, s := range ew.Extract(sp.HTML, sp.Query) {
 			if s.FromFamily {
 				report.FamilySections++
 				continue

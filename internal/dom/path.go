@@ -352,6 +352,32 @@ func LocateCompact(root *Node, target CompactPath) *Node {
 	return cands[0]
 }
 
+// LocatePattern returns, in document order, every node under root
+// (inclusive) whose compact tag path equals pattern step for step: tags at
+// every index, sibling counts at every index except wildcard — the free
+// junction of a Type-2 section family.  A matched subtree is not searched
+// further; it cannot contain another match.
+func LocatePattern(root *Node, pattern CompactPath, wildcard int) []*Node {
+	var matches []*Node
+	root.Walk(func(n *Node) bool {
+		cp := PathOf(n).Compact()
+		if len(cp) != len(pattern) {
+			return true
+		}
+		for i := range cp {
+			if cp[i].Tag != pattern[i].Tag {
+				return true
+			}
+			if i != wildcard && cp[i].SBefore != pattern[i].SBefore {
+				return true
+			}
+		}
+		matches = append(matches, n)
+		return false
+	})
+	return matches
+}
+
 // LocateCompactAll returns every descendant of root whose compact tag path
 // is compatible with target, ordered by increasing PathDistance (ties in
 // document order).  Callers that can validate candidates by other evidence

@@ -11,7 +11,8 @@
 // same incremental compact-path stack, the same candidate predicate, the
 // same (distance, document order) ranking — so the per-target candidate
 // lists handed to compiled wrappers are element-for-element the lists the
-// interpreted path computes.  Subtrees are skipped only when no target's
+// interpreted path computes (dom.LocatePattern for Type-2 family
+// patterns); prune_test.go checks this over the synthetic test bed.  Subtrees are skipped only when no target's
 // tag-path prefix still matches (a prefix mismatch can never recover at
 // greater depth, and every candidate needs a full prefix match), so a
 // skipped subtree provably contains no candidate of any target.  Marked
@@ -39,8 +40,7 @@ type Spec struct {
 	// Non-negative: a Type-2 family pattern — compact paths must equal
 	// Path step for step, tags everywhere and sibling counts at every
 	// index except Wildcard (the family's free junction); candidates kept
-	// in document order, exactly as Family.applyType2's preorder walk
-	// produces them.
+	// in document order, exactly as dom.LocatePattern produces them.
 	Wildcard int
 }
 

@@ -589,22 +589,26 @@ func (c *Controller) canary(engine string, cand *core.EngineWrapper, holdout []p
 	return res
 }
 
-// score applies a wrapper to every holdout page, counting only — pooled
-// memory is released inside CountsCtx, and nothing feeds the serving
-// metrics or the drift tracker (a canary is an experiment, not traffic).
+// score applies a wrapper to every holdout page, counting only — each
+// page's pooled memory is released before the next, and nothing feeds the
+// serving metrics or the drift tracker (a canary is an experiment, not
+// traffic).
 func (c *Controller) score(ew *core.EngineWrapper, holdout []pageSample) CanaryScore {
 	var s CanaryScore
 	for _, p := range holdout {
-		secs, recs, err := ew.CountsCtx(c.ctx, p.html, p.query)
+		secs, lease, err := ew.ExtractLeasedObs(c.ctx, p.html, p.query, nil)
 		if err != nil {
 			s.Errors++
 			continue
 		}
-		if secs > 0 {
+		lease.Release()
+		if len(secs) > 0 {
 			s.NonEmptyPages++
 		}
-		s.Sections += secs
-		s.Records += recs
+		s.Sections += len(secs)
+		for _, sec := range secs {
+			s.Records += len(sec.Records)
+		}
 	}
 	return s
 }

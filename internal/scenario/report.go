@@ -49,10 +49,10 @@ type Report struct {
 	// Digest is the sha256 over the run's canonical event lines — the
 	// determinism fingerprint: same scenario, same seed, same server
 	// config → same digest.
-	Digest        string `json:"digest"`
-	TotalRequests int    `json:"total_requests"`
-	TotalPages    int    `json:"total_pages"`
-	Non2xx        int    `json:"non_2xx"`
+	Digest        string        `json:"digest"`
+	TotalRequests int           `json:"total_requests"`
+	TotalPages    int           `json:"total_pages"`
+	Non2xx        int           `json:"non_2xx"`
 	Phases        []PhaseReport `json:"phases"`
 	// Series is the per-engine windowed score time series in emission
 	// order — the recall drop at a cutover and the recovery after a heal

@@ -188,20 +188,18 @@ type poolsJSON struct {
 	// Compiled-extraction fast path: wrapper lowering hits and the
 	// DOM-pruning pass (candidate location, skipped subtrees, full vs
 	// skeleton line counts).
-	CompiledEnabled bool                  `json:"compiled_enabled"`
-	Compiled        wrapper.CompiledStats `json:"compiled"`
-	Prune           prune.Stats           `json:"prune"`
+	Compiled wrapper.CompiledStats `json:"compiled"`
+	Prune    prune.Stats           `json:"prune"`
 }
 
 func poolsSnapshot() *poolsJSON {
 	return &poolsJSON{
-		ArenasEnabled:   dom.ArenasEnabled(),
-		ParseArena:      dom.ArenaStatsSnapshot(),
-		RenderScratch:   layout.ScratchStatsSnapshot(),
-		ApplyScratch:    wrapper.ApplyScratchStatsSnapshot(),
-		CompiledEnabled: wrapper.CompiledEnabled(),
-		Compiled:        wrapper.CompiledStatsSnapshot(),
-		Prune:           prune.StatsSnapshot(),
+		ArenasEnabled: dom.ArenasEnabled(),
+		ParseArena:    dom.ArenaStatsSnapshot(),
+		RenderScratch: layout.ScratchStatsSnapshot(),
+		ApplyScratch:  wrapper.ApplyScratchStatsSnapshot(),
+		Compiled:      wrapper.CompiledStatsSnapshot(),
+		Prune:         prune.StatsSnapshot(),
 	}
 }
 

@@ -47,7 +47,7 @@ func TestPanicRecovery(t *testing.T) {
 	if got := reg.metrics.panics.Value(); got != 1 {
 		t.Fatalf("panics_total = %d, want 1", got)
 	}
-	// The deferred ReleasePage must have run during the unwind: every
+	// The deferred lease release must have run during the unwind: every
 	// arena acquired since the baseline has been released again.
 	if dom.ArenasEnabled() {
 		after := dom.ArenaStatsSnapshot()

@@ -722,7 +722,7 @@ func (r *Registry) extractEntry(ctx context.Context, name string, ent *engineEnt
 		// building the entry still returns the page and its parse arena to
 		// the pools.  The entry holds only plain bytes, so it outlives the
 		// lease (and any number of future cache hits) regardless.
-		defer r.ReleasePage(lease)
+		defer lease.Release()
 		if extractTestHook != nil {
 			extractTestHook(name)
 		}
@@ -843,11 +843,6 @@ func stageTimings(root *obs.Span) map[string]float64 {
 
 // bodyPool recycles the request-body read buffers of /extract.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// ReleasePage returns the pooled parse/render memory behind a completed
-// extraction.  It must be called after the response derived from the
-// leased page has been fully written; it is safe on a nil lease.
-func (r *Registry) ReleasePage(lease *core.PageLease) { lease.Release() }
 
 // writeBody writes a pre-serialized JSON response body (a cache entry).
 func writeBody(w http.ResponseWriter, status int, body []byte) {

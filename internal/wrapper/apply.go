@@ -75,7 +75,8 @@ type ExtractedSection struct {
 // Apply runs the wrapper against a rendered page.  It returns nil when the
 // section is absent.  query lists the query terms used to retrieve the
 // page (they are removed before boundary-marker texts are compared); it
-// may be nil.
+// may be nil.  Apply is the interpreted reference: extraction runs the
+// compiled form (Compile), and tests pin the two to identical output.
 func (w *SectionWrapper) Apply(p *layout.Page, query []string, opt Options) *ExtractedSection {
 	// Candidates are every subtree with a compatible compact path, nearest
 	// sibling counts first.  Boundary markers — not raw path distance —

@@ -34,20 +34,6 @@ import (
 	"mse/internal/visual"
 )
 
-// compiledEnabled gates the compiled fast path process-wide, mirroring
-// dom.SetArenasEnabled: flipping it off restores the interpreted legacy
-// path (an operational escape hatch, and the lever the differential tests
-// toggle).
-var compiledEnabled atomic.Bool
-
-func init() { compiledEnabled.Store(true) }
-
-// SetCompiledEnabled toggles the compiled wrapper fast path.
-func SetCompiledEnabled(v bool) { compiledEnabled.Store(v) }
-
-// CompiledEnabled reports whether the compiled fast path is on.
-func CompiledEnabled() bool { return compiledEnabled.Load() }
-
 // CompiledStats are cumulative compiled-application counters; exposed on
 // /metrics by the extraction service.
 type CompiledStats struct {

@@ -269,7 +269,9 @@ func attrsKey(attrs []layout.TextAttr) string {
 }
 
 // Apply runs a family against a page, returning every member section found
-// — including hidden ones that no sample page exhibited.
+// — including hidden ones that no sample page exhibited.  Like
+// SectionWrapper.Apply it is the interpreted reference that tests compare
+// the compiled form (CompileFamily) against.
 func (f *Family) Apply(p *layout.Page, query []string, opt Options) []*ExtractedSection {
 	switch f.Type {
 	case Type1:
@@ -325,26 +327,8 @@ func (f *Family) applyType1(p *layout.Page, opt Options) []*ExtractedSection {
 // section.
 func (f *Family) applyType2(p *layout.Page, opt Options) []*ExtractedSection {
 	pattern := append(append(dom.CompactPath(nil), f.Pref...), f.SPref...)
-	junction := len(f.Pref)
-	var matches []*dom.Node
-	p.Doc.Walk(func(n *dom.Node) bool {
-		cp := dom.PathOf(n).Compact()
-		if len(cp) != len(pattern) {
-			return true
-		}
-		for i := range cp {
-			if cp[i].Tag != pattern[i].Tag {
-				return true
-			}
-			if i != junction && cp[i].SBefore != pattern[i].SBefore {
-				return true
-			}
-		}
-		matches = append(matches, n)
-		return false // a matched subtree cannot contain another match
-	})
 	var out []*ExtractedSection
-	for _, t := range matches {
+	for _, t := range dom.LocatePattern(p.Doc, pattern, len(f.Pref)) {
 		opt.Cancel.Check()
 		first, last, ok := p.Span(t)
 		if !ok {
