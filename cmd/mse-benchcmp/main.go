@@ -4,10 +4,11 @@
 //
 // Usage:
 //
-//	mse-benchcmp                 # diff the two newest BENCH_*.json by mtime
+//	mse-benchcmp                 # diff the two newest BENCH_*.json
 //	mse-benchcmp OLD.json NEW.json
 //	mse-benchcmp -gate [-bench NAME] [-threshold 0.15] [-benchmarks REGEX]
 //
+// "Newest" goes by file name (see sortSnapshots), not by mtime.
 // Benchmarks present in only one of the runs are listed without deltas.
 // Repeated runs of the same benchmark within one file are averaged.
 //
@@ -79,7 +80,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mse-benchcmp: need two BENCH_*.json files (found %d); run `make bench` twice or pass two files\n", len(files))
 			os.Exit(1)
 		}
-		sort.Slice(files, func(i, j int) bool { return mtime(files[i]) < mtime(files[j]) })
+		sortSnapshots(files)
 		oldFile, newFile = files[len(files)-2], files[len(files)-1]
 	case 2:
 		oldFile, newFile = flag.Arg(0), flag.Arg(1)
@@ -173,12 +174,28 @@ func human(v float64) string {
 	}
 }
 
-func mtime(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
+// sortSnapshots orders BENCH_<date>[.N].json paths oldest first: by date,
+// then by the numeric .N suffix `make bench` gives later runs of the same
+// day, the bare name counting as .1.  File names, not mtimes: a checkout
+// gives every committed snapshot the same mtime.
+func sortSnapshots(files []string) {
+	key := func(path string) (string, int) {
+		s := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+		date, suffix, ok := strings.Cut(s, ".")
+		if !ok {
+			return date, 1
+		}
+		n, _ := strconv.Atoi(suffix) // a non-numeric suffix sorts first
+		return date, n
 	}
-	return fi.ModTime().UnixNano()
+	sort.Slice(files, func(i, j int) bool {
+		di, ni := key(files[i])
+		dj, nj := key(files[j])
+		if di != dj {
+			return di < dj
+		}
+		return ni < nj
+	})
 }
 
 func fatal(err error) {
@@ -316,7 +333,7 @@ func runGate(bench string, threshold float64, enforce *regexp.Regexp) int {
 		fmt.Fprintln(os.Stderr, "mse-benchcmp: no BENCH_*.json baseline; run `make bench` and commit the snapshot")
 		return 1
 	}
-	sort.Slice(files, func(i, j int) bool { return mtime(files[i]) < mtime(files[j]) })
+	sortSnapshots(files)
 	baseFile := files[len(files)-1]
 	base, err := parseFile(baseFile)
 	if err != nil {

@@ -114,3 +114,29 @@ func TestGateResultsMissingBaselineSkipped(t *testing.T) {
 		t.Fatalf("missing-baseline line not printed:\n%s", buf.String())
 	}
 }
+
+// TestSortSnapshotsByName: snapshots order by date, then by the numeric
+// .N suffix (bare = .1, and .10 after .9), whatever the glob order — the
+// gate's baseline is the last one.
+func TestSortSnapshotsByName(t *testing.T) {
+	files := []string{
+		"BENCH_2026-08-08.json",
+		"BENCH_2026-08-08.10.json",
+		"BENCH_2026-08-06.2.json",
+		"BENCH_2026-08-08.3.json",
+		"BENCH_2026-08-06.json",
+		"BENCH_2026-08-08.2.json",
+	}
+	sortSnapshots(files)
+	want := []string{
+		"BENCH_2026-08-06.json",
+		"BENCH_2026-08-06.2.json",
+		"BENCH_2026-08-08.json",
+		"BENCH_2026-08-08.2.json",
+		"BENCH_2026-08-08.3.json",
+		"BENCH_2026-08-08.10.json",
+	}
+	if strings.Join(files, " ") != strings.Join(want, " ") {
+		t.Fatalf("order = %v, want %v", files, want)
+	}
+}

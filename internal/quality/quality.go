@@ -156,7 +156,7 @@ type Observation struct {
 }
 
 // Assessment is the tracker's judgement of one observation, returned from
-// Observe so callers can journal it alongside the request.
+// Observe so callers can journal it and act on a verdict change.
 type Assessment struct {
 	// Verdict is the engine verdict after this observation.
 	Verdict Verdict
@@ -186,11 +186,6 @@ type Tracker struct {
 
 	mu      sync.Mutex
 	engines map[string]*engineState
-	// onChange, when set, is called after every verdict transition —
-	// outside t.mu, so it may call back into the tracker (e.g. Report) or
-	// do slow work (journaling, scheduling a relearn) without blocking
-	// concurrent Observes.
-	onChange func(engine string, from, to Verdict)
 }
 
 // engineState is the per-engine baseline and verdict machine.
@@ -231,16 +226,6 @@ func NewTracker(cfg Config) *Tracker {
 
 // Config returns the tracker's effective configuration.
 func (t *Tracker) Config() Config { return t.cfg }
-
-// SetOnChange installs the verdict-transition hook.  Call it before the
-// tracker starts observing traffic (it is not synchronized against
-// Observe).  Nil-safe.
-func (t *Tracker) SetOnChange(fn func(engine string, from, to Verdict)) {
-	if t == nil {
-		return
-	}
-	t.onChange = fn
-}
 
 // Reset drops the engine's baselines, anomaly rate and verdict so they
 // re-warm from scratch.  The wrapper-swap path calls it: a freshly
@@ -331,7 +316,6 @@ func (t *Tracker) Observe(engine string, o Observation) Assessment {
 		es.anomalyRate += t.alpha * (x - es.anomalyRate)
 	}
 
-	from := es.verdict
 	changed := t.updateVerdict(es, warmedBefore)
 	a := Assessment{
 		Verdict:     es.verdict,
@@ -341,14 +325,6 @@ func (t *Tracker) Observe(engine string, o Observation) Assessment {
 		AnomalyRate: es.anomalyRate,
 	}
 	t.mu.Unlock()
-	// The transition hook runs outside t.mu: it may schedule a relearn,
-	// journal, or read the tracker back without stalling concurrent
-	// Observes.  Transitions on one engine are serialized only as much as
-	// its observations are; callers needing strict ordering must not
-	// observe one engine concurrently.
-	if changed && t.onChange != nil {
-		t.onChange(engine, from, a.Verdict)
-	}
 	return a
 }
 

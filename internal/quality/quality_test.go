@@ -325,43 +325,37 @@ func TestResetRewarmsBaseline(t *testing.T) {
 	tr.Reset("ghost")
 	var nilTr *Tracker
 	nilTr.Reset("e")
-	nilTr.SetOnChange(func(string, Verdict, Verdict) {})
 }
 
-// TestOnChangeHookTransitions: the hook fires once per verdict transition
-// with the right from/to pair, never on a non-transition, and runs outside
-// the tracker mutex (calling back into the tracker from the hook must not
-// deadlock).
-func TestOnChangeHookTransitions(t *testing.T) {
+// TestAssessmentChangedTransitions: Changed is set exactly on the
+// observation that moves the verdict, with Verdict naming where it moved —
+// one OK→SUSPECT and one SUSPECT→DRIFTED on the way to drift, and none on a
+// stable stream.
+func TestAssessmentChangedTransitions(t *testing.T) {
 	tr := NewTracker(testConfig())
 	type tran struct{ from, to Verdict }
-	var mu sync.Mutex
 	var trans []tran
-	tr.SetOnChange(func(engine string, from, to Verdict) {
-		if engine != "e" {
-			t.Errorf("hook engine = %q, want e", engine)
+	prev := OK
+	observe := func(o Observation) {
+		a := tr.Observe("e", o)
+		if a.Changed != (a.Verdict != prev) {
+			t.Fatalf("Changed = %v moving %v -> %v", a.Changed, prev, a.Verdict)
 		}
-		// Re-entrancy: a real hook schedules relearns and reads reports.
-		_ = tr.Verdict(engine)
-		_ = tr.Report()
-		mu.Lock()
-		trans = append(trans, tran{from, to})
-		mu.Unlock()
-	})
+		if a.Changed {
+			trans = append(trans, tran{prev, a.Verdict})
+		}
+		prev = a.Verdict
+	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
-		tr.Observe("e", stableObs(rng))
+		observe(stableObs(rng))
 	}
-	mu.Lock()
 	if len(trans) != 0 {
-		t.Fatalf("hook fired %d times on a stable stream", len(trans))
+		t.Fatalf("%d verdict changes on a stable stream: %v", len(trans), trans)
 	}
-	mu.Unlock()
-	for i := 0; i < 200 && tr.Verdict("e") != Drifted; i++ {
-		tr.Observe("e", Observation{})
+	for i := 0; i < 200 && prev != Drifted; i++ {
+		observe(Observation{})
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	want := []tran{{OK, Suspect}, {Suspect, Drifted}}
 	if len(trans) != len(want) || trans[0] != want[0] || trans[1] != want[1] {
 		t.Fatalf("transitions = %v, want %v", trans, want)

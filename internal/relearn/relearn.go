@@ -312,9 +312,9 @@ func (c *Controller) ObservePage(engine, html string, query []string) {
 	es.res.add(html, query)
 }
 
-// NotifyDrift schedules a relearn job for the engine.  It is the quality
-// tracker's verdict hook target: call it when an engine transitions to
-// DRIFTED.  A no-op when a job is already running or backing off, when the
+// NotifyDrift schedules a relearn job for the engine.  Call it when an
+// engine's verdict moves to DRIFTED, after ObservePage has taken the page
+// that moved it, so the job's snapshot holds that page.  A no-op when a job is already running or backing off, when the
 // circuit is open (DEGRADED), or after Close.  Nil-safe.
 func (c *Controller) NotifyDrift(engine string) {
 	if c == nil {

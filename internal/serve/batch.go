@@ -12,15 +12,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"mse/internal/excache"
-	"mse/internal/obs"
 	"mse/internal/par"
 )
 
@@ -56,23 +52,6 @@ type batchResponse struct {
 	Results []batchItemResult `json:"results"`
 }
 
-// batchJob is one unique content address within a batch: the first item
-// with a given (engine, generation, hash) extracts, every duplicate index
-// shares its result.
-type batchJob struct {
-	key         excache.Key
-	engine      string
-	ent         *engineEntry
-	html        string
-	query       []string
-	idxs        []int
-	root        *obs.Span
-	out         extractOutcome
-	status      int
-	errMsg      string
-	queueWaitMs float64
-}
-
 // decodeBatch accepts either {"items":[...]} or a bare JSON array.
 func decodeBatch(body []byte) ([]batchItem, error) {
 	trimmed := bytes.TrimLeft(body, " \t\r\n")
@@ -89,223 +68,105 @@ func decodeBatch(body []byte) ([]batchItem, error) {
 }
 
 func (r *Registry) handleExtractBatch(w http.ResponseWriter, req *http.Request) {
+	start := time.Now()
 	defaultEngine := req.URL.Query().Get("engine")
+	reject := func(status int, msg string) {
+		r.metrics.errors.Inc()
+		writeError(w, status, defaultEngine, msg)
+	}
 	if req.Method != http.MethodPost {
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, defaultEngine, "POST required")
+		reject(http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, MaxBatchBytes+1))
-	if err != nil {
-		if req.Context().Err() != nil || errors.Is(err, io.ErrUnexpectedEOF) {
-			r.metrics.canceled.Inc()
-			writeError(w, statusClientClosedRequest, defaultEngine, "client disconnected during body read")
-			return
-		}
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusBadRequest, defaultEngine, "reading body: "+err.Error())
+	buf, status, msg := r.readBody(req, MaxBatchBytes)
+	defer bodyPool.Put(buf)
+	if status != 0 {
+		writeError(w, status, defaultEngine, msg)
 		return
 	}
-	if len(body) > MaxBatchBytes {
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusRequestEntityTooLarge, defaultEngine,
-			fmt.Sprintf("batch exceeds %d bytes", MaxBatchBytes))
+	if buf.Len() > MaxBatchBytes {
+		reject(http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds %d bytes", MaxBatchBytes))
 		return
 	}
-	items, err := decodeBatch(body)
-	if err != nil {
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusBadRequest, defaultEngine, "decoding batch: "+err.Error())
+	// Decoding copies every page out of buf into its own string.
+	batch, err := decodeBatch(buf.Bytes())
+	switch {
+	case err != nil:
+		reject(http.StatusBadRequest, "decoding batch: "+err.Error())
 		return
-	}
-	if len(items) == 0 {
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusBadRequest, defaultEngine, "empty batch")
+	case len(batch) == 0:
+		reject(http.StatusBadRequest, "empty batch")
 		return
-	}
-	if len(items) > MaxBatchItems {
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusBadRequest, defaultEngine,
-			fmt.Sprintf("batch has %d items, limit %d", len(items), MaxBatchItems))
+	case len(batch) > MaxBatchItems:
+		reject(http.StatusBadRequest, fmt.Sprintf("batch has %d items, limit %d", len(batch), MaxBatchItems))
 		return
 	}
 	r.metrics.batches.Inc()
-	r.metrics.batchPages.Add(int64(len(items)))
-	rid := RequestID(req.Context())
-	start := time.Now()
+	r.metrics.batchPages.Add(int64(len(batch)))
+	ctx := req.Context()
 
-	results := make([]batchItemResult, len(items))
-	jevs := make([]*JournalEvent, len(items))
-	itemJob := make([]*batchJob, len(items))
-	byKey := map[excache.Key]*batchJob{}
-	var jobs []*batchJob
-
-	// Validation + dedupe pass: every item either fails early (unknown or
-	// misrouted engine, oversized page) or joins the job for its content
-	// address.  Duplicates within the batch collapse before any cache or
-	// pipeline work happens.
-	for i, it := range items {
-		name := it.Engine
-		if name == "" {
-			name = defaultEngine
+	// Validation + dedupe pass: every item either fails early or joins the
+	// item that extracts for its content address.  Duplicates within the
+	// batch collapse before any cache or pipeline work happens.
+	items := make([]item, len(batch))
+	byKey := map[excache.Key]*item{}
+	var leads []*item
+	for i, bi := range batch {
+		it := &items[i]
+		it.engine, it.html, it.query = bi.Engine, bi.HTML, parseQuery(bi.Query)
+		if it.engine == "" {
+			it.engine = defaultEngine
 		}
-		results[i].Engine = name
-		if r.journal.Sample() {
-			jevs[i] = &JournalEvent{RequestID: rid, Engine: name, Batch: true, BatchIndex: i}
+		r.sample(ctx, it)
+		if it.jev != nil {
+			it.jev.Batch, it.jev.BatchIndex = true, i
 		}
-		if name == "" {
-			r.metrics.errors.Inc()
-			results[i].Status = http.StatusBadRequest
-			results[i].Error = "missing engine (set item engine or ?engine=)"
+		if !r.resolve(it) || !r.checkSize(it, len(it.html)) {
 			continue
 		}
-		if !r.Owns(name) {
-			r.metrics.misrouted.Inc()
-			owner := r.ring.Owner(name)
-			_, total, _ := r.ShardInfo()
-			results[i].Status = http.StatusMisdirectedRequest
-			results[i].OwnerShard = &owner
-			results[i].Error = fmt.Sprintf("engine %q is owned by shard %d/%d", name, owner, total)
+		key := excache.Key{Engine: it.engine, Gen: it.ent.gen, Hash: excache.HashPage(it.html, it.query)}
+		if lead := byKey[key]; lead != nil {
+			it.lead = lead
 			continue
 		}
-		ent, ok := r.get(name)
-		if !ok {
-			r.metrics.errors.Inc()
-			results[i].Status = http.StatusNotFound
-			results[i].Error = fmt.Sprintf("unknown engine %q", name)
-			continue
-		}
-		if len(it.HTML) > MaxPageBytes {
-			r.metrics.engine(name).errors.Inc()
-			r.metrics.errors.Inc()
-			results[i].Status = http.StatusRequestEntityTooLarge
-			results[i].Error = fmt.Sprintf("page exceeds %d bytes", MaxPageBytes)
-			continue
-		}
-		r.metrics.engine(name).requests.Inc()
-		var query []string
-		if it.Query != "" {
-			query = strings.FieldsFunc(it.Query, func(r rune) bool { return r == '+' || r == ' ' })
-		}
-		key := excache.Key{Engine: name, Gen: ent.gen, Hash: excache.HashPage(it.HTML, query)}
-		if j := byKey[key]; j != nil {
-			j.idxs = append(j.idxs, i)
-			itemJob[i] = j
-			continue
-		}
-		j := &batchJob{key: key, engine: name, ent: ent, html: it.HTML, query: query, idxs: []int{i}}
-		byKey[key] = j
-		itemJob[i] = j
-		jobs = append(jobs, j)
+		byKey[key] = it
+		leads = append(leads, it)
 	}
 
-	// A job gets a span tree only when some item of it will be journaled.
-	for _, j := range jobs {
-		for _, i := range j.idxs {
-			if jevs[i] != nil {
-				j.root = obs.NewSpan(obs.RootExtract)
-				break
-			}
-		}
-	}
-
-	// Fan the unique jobs through the worker pool.  Each job acquires its
-	// own admission slot — the batch holds at most workers slots at once
-	// and every page is accounted, exactly as if it had arrived alone.  A
+	// Fan the unique items through the worker pool.  Each takes its own
+	// admission slot — the batch holds at most workers slots at once and
+	// every page is accounted, exactly as if it had arrived alone.  A
 	// worker panic propagates through par's re-raise to the recoverer, and
 	// the deferred release runs during the unwind, so no slot leaks.
-	ctx := req.Context()
-	par.ForEachIndex(len(jobs), par.Workers(0), func(n int) {
-		j := jobs[n]
-		em := r.metrics.engine(j.engine)
-		wait, err := r.limiter.acquire(ctx)
-		r.metrics.queueWait.Observe(wait)
-		j.queueWaitMs = float64(wait) / float64(time.Millisecond)
-		if err != nil {
-			if errors.Is(err, errShed) {
-				r.metrics.shed.Inc()
-				j.status = http.StatusTooManyRequests
-				j.errMsg = "server at capacity, retry later"
-			} else {
-				r.metrics.canceled.Inc()
-				j.status = statusClientClosedRequest
-				j.errMsg = "request canceled while queued"
-			}
-			return
+	par.ForEachIndex(len(leads), par.Workers(0), func(n int) {
+		if it := leads[n]; r.admit(ctx, it) {
+			defer r.release()
+			r.extract(ctx, it)
 		}
-		defer r.limiter.release()
-		r.metrics.extractInFlight.Add(1)
-		defer r.metrics.extractInFlight.Add(-1)
-		out, err := r.extractEntry(ctx, j.engine, j.ent, em, j.html, j.query, j.root)
-		j.out = out
-		if err != nil {
-			j.status, j.errMsg = r.extractErrorStatus(ctx, err)
-			return
-		}
-		j.status = http.StatusOK
 	})
 
-	// Assembly: fan each job's outcome back to its item indices.  Every
-	// index after the first (and every index of a job that hit the cache)
-	// was served without pipeline work, which the served-totals counters
-	// and the per-item cached flag both reflect.
+	results := make([]batchItemResult, len(items))
 	for i := range items {
-		j := itemJob[i]
-		if j == nil {
-			continue // early validation error, result already written
+		it := &items[i]
+		if it.lead != nil {
+			it.adopt()
 		}
-		if j.status != http.StatusOK {
-			results[i].Status = j.status
-			results[i].Error = j.errMsg
-			continue
+		res := &results[i]
+		res.Engine, res.Status, res.Cached, res.Error = it.engine, it.status, it.cached, it.msg
+		if it.mis != nil {
+			res.OwnerShard = &it.mis.OwnerShard
 		}
-		cached := j.out.cached || i != j.idxs[0]
-		if cached {
-			em := r.metrics.engine(j.engine)
-			em.sections.Add(int64(j.out.entry.Sections))
-			em.records.Add(int64(j.out.entry.Records))
+		if it.status == http.StatusOK {
+			res.Result = json.RawMessage(it.entry.Body)
 		}
-		results[i].Status = http.StatusOK
-		results[i].Cached = cached
-		results[i].Result = json.RawMessage(j.out.entry.Body)
 	}
-
-	// Journal pass: one sub-item event per sampled index, all carrying the
-	// batch request's correlation ID.
-	totalMs := float64(time.Since(start)) / float64(time.Millisecond)
-	for i, jev := range jevs {
-		if jev == nil {
-			continue
-		}
-		jev.Time = nowRFC3339()
-		jev.Status = results[i].Status
-		jev.Error = results[i].Error
-		jev.PageBytes = len(items[i].HTML)
-		jev.PageHash = pageHash(items[i].HTML)
-		jev.TotalMs = totalMs
-		if j := itemJob[i]; j != nil {
-			jev.Query = j.query
-			jev.QueueWaitMs = j.queueWaitMs
-			if j.status == http.StatusOK {
-				jev.Sections = j.out.entry.Sections
-				jev.Records = j.out.entry.Records
-				jev.Cached = results[i].Cached
-			}
-			if j.out.assessed {
-				journalQuality(jev, j.out.assessment)
-			}
-			jev.StagesMs = stageTimings(j.root)
-		}
-		r.journal.Write(*jev)
+	total := time.Since(start)
+	for i := range items {
+		r.journalItem(&items[i], total)
 	}
-
 	writeBatchResponse(w, results)
-	// Reservoir feed, after the response is out (exactly as /extract):
-	// each successfully extracted unique page is a relearn sample.
-	for _, j := range jobs {
-		if j.status == http.StatusOK {
-			r.feedRelearn(j.engine, j.html, j.query)
-		}
+	for _, it := range leads {
+		r.afterResponse(it)
 	}
 }
 
@@ -343,7 +204,5 @@ func writeBatchResponse(w http.ResponseWriter, results []batchItemResult) {
 		buf.WriteByte('}')
 	}
 	buf.WriteString("]}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	writeBody(w, buf.Bytes())
 }

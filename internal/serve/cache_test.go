@@ -321,7 +321,9 @@ func TestBatchBareArrayAndLimits(t *testing.T) {
 }
 
 // TestBatchJournalEchoesRequestID: sampled batch sub-item events must all
-// carry the batch request's correlation ID and their item index.
+// carry the batch request's correlation ID and their item index, and an
+// item that fails validation is journaled with its status and error — on
+// /extract exactly as on /extract/batch.
 func TestBatchJournalEchoesRequestID(t *testing.T) {
 	reg, eng := testRegistry(t)
 	reg.SetCache(16 << 20)
@@ -334,6 +336,7 @@ func TestBatchJournalEchoesRequestID(t *testing.T) {
 	body, _ := json.Marshal(map[string]any{"items": []map[string]any{
 		{"engine": "demo", "q": strings.Join(gp.Query, "+"), "html": gp.HTML},
 		{"engine": "demo", "q": strings.Join(gp.Query, "+"), "html": gp.HTML},
+		{"engine": "nosuch", "html": gp.HTML},
 	}})
 	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/extract/batch", bytes.NewReader(body))
 	req.Header.Set("X-Request-ID", "batch-rid-1")
@@ -345,30 +348,53 @@ func TestBatchJournalEchoesRequestID(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	lines := strings.Split(strings.TrimSpace(journal.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("journal lines = %d, want 2:\n%s", len(lines), journal.String())
+	// The same unknown engine on the single endpoint.
+	resp, err = http.Post(srv.URL+"/extract?engine=nosuch", "text/html", strings.NewReader(gp.HTML))
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("single status = %d, want 404", resp.StatusCode)
+	}
+	lines := strings.Split(strings.TrimSpace(journal.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("journal lines = %d, want 4:\n%s", len(lines), journal.String())
+	}
+	evs := make([]JournalEvent, len(lines))
 	for i, line := range lines {
-		var ev JournalEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+		if err := json.Unmarshal([]byte(line), &evs[i]); err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
+	}
+	for i, ev := range evs[:3] {
 		if ev.RequestID != "batch-rid-1" {
 			t.Errorf("line %d request_id = %q, want batch-rid-1", i, ev.RequestID)
 		}
 		if !ev.Batch || ev.BatchIndex != i {
 			t.Errorf("line %d batch=%v index=%d, want true/%d", i, ev.Batch, ev.BatchIndex, i)
 		}
-		if ev.Status != http.StatusOK {
-			t.Errorf("line %d status = %d", i, ev.Status)
+		if want := []int{http.StatusOK, http.StatusOK, http.StatusNotFound}[i]; ev.Status != want {
+			t.Errorf("line %d status = %d, want %d", i, ev.Status, want)
 		}
 	}
 	// The second item duplicates the first within the batch: cached.
-	var ev1 JournalEvent
-	json.Unmarshal([]byte(lines[1]), &ev1)
-	if !ev1.Cached {
+	if !evs[1].Cached {
 		t.Errorf("duplicate item's journal event not marked cached: %s", lines[1])
+	}
+	// The unknown engine, journaled alike by both endpoints (only the
+	// batch item's page is known: /extract reads no body for it).
+	for _, i := range []int{2, 3} {
+		ev := evs[i]
+		if ev.Engine != "nosuch" || ev.Status != http.StatusNotFound || ev.Error != `unknown engine "nosuch"` {
+			t.Errorf("unknown-engine line %d = %s", i, lines[i])
+		}
+	}
+	if evs[2].PageBytes != len(gp.HTML) {
+		t.Errorf("batch unknown-engine line page_bytes = %d, want %d", evs[2].PageBytes, len(gp.HTML))
+	}
+	if evs[3].Batch || evs[3].RequestID == "batch-rid-1" {
+		t.Errorf("single-endpoint line carries batch fields: %s", lines[3])
 	}
 }
 

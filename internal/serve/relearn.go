@@ -1,12 +1,13 @@
 package serve
 
 // Self-healing wrapper lifecycle: the serve-side wiring of
-// internal/relearn.  The registry feeds served pages into the controller's
-// per-engine reservoirs (after the response is written — never on the
-// request's critical path), the drift tracker's verdict hook schedules
-// relearn jobs, and a canary-validated candidate swaps in through the same
-// Registry.Add path an operator would use — generation bump, cache
-// invalidation, quality-baseline reset and snapshot persistence included.
+// internal/relearn.  After the response is written — never on the
+// request's critical path — the pipeline's afterResponse step feeds each
+// served page into the controller's per-engine reservoir and then, when
+// that page moved the drift verdict to DRIFTED, schedules a relearn job.
+// A canary-validated candidate swaps in through the same Registry.Add
+// path an operator would use — generation bump, cache invalidation,
+// quality-baseline reset and snapshot persistence included.
 //
 //	GET  /relearnz            machine-readable relearn report (config,
 //	                          per-engine state/attempts/canary scores)
@@ -21,7 +22,6 @@ import (
 	"strings"
 
 	"mse/internal/core"
-	"mse/internal/quality"
 	"mse/internal/relearn"
 )
 
@@ -33,9 +33,8 @@ var relearnBuildHook func(ctx context.Context, samples []*core.SamplePage) (*cor
 // EnableRelearn turns on the self-healing lifecycle: a DRIFTED verdict
 // from the drift tracker schedules a background relearn over the engine's
 // sampled pages, and a canary-validated candidate is hot-swapped into the
-// registry.  Call before Handler (it installs the tracker's verdict hook).
-// The returned controller is owned by the caller, who must Close it on
-// shutdown to stop job goroutines.
+// registry.  Call before Handler.  The returned controller is owned by
+// the caller, who must Close it on shutdown to stop job goroutines.
 func (r *Registry) EnableRelearn(cfg relearn.Config) *relearn.Controller {
 	ctrl := relearn.NewController(cfg, relearn.Hooks{
 		Build: func(ctx context.Context, samples []*core.SamplePage) (*core.EngineWrapper, error) {
@@ -63,37 +62,11 @@ func (r *Registry) EnableRelearn(cfg relearn.Config) *relearn.Controller {
 		},
 	})
 	r.relearn = ctrl
-	r.wireQualityHook()
 	return ctrl
 }
 
 // Relearn returns the installed relearn controller (nil when disabled).
 func (r *Registry) Relearn() *relearn.Controller { return r.relearn }
-
-// wireQualityHook points the drift tracker's verdict-transition hook at
-// the relearn controller.  Called from EnableRelearn and again from
-// SetQualityConfig (which replaces the tracker, hook and all).
-func (r *Registry) wireQualityHook() {
-	if r.relearn == nil {
-		return
-	}
-	ctrl := r.relearn
-	r.quality.SetOnChange(func(engine string, from, to quality.Verdict) {
-		if to == quality.Drifted {
-			ctrl.NotifyDrift(engine)
-		}
-	})
-}
-
-// feedRelearn samples one successfully served page into the engine's
-// relearn reservoir.  Callers invoke it after the response bytes are out:
-// the html string is the request's own body copy, handed over rather than
-// re-copied, and a slow reservoir (there isn't one — it is a hash and an
-// append) could still never stretch a client-visible latency.  Nil-safe
-// when relearn is disabled.
-func (r *Registry) feedRelearn(engine, html string, query []string) {
-	r.relearn.ObservePage(engine, html, query)
-}
 
 // relearnEvent fans one lifecycle event out to metrics, the wide-event
 // journal and the operator log.  Lifecycle events are rare (per-episode,
@@ -185,7 +158,7 @@ func (r *Registry) handleRelearnTrigger(w http.ResponseWriter, req *http.Request
 		return
 	}
 	if !r.Owns(name) {
-		r.writeMisrouted(w, name)
+		writeJSON(w, http.StatusMisdirectedRequest, r.misroute(name))
 		return
 	}
 	if _, ok := r.get(name); !ok {

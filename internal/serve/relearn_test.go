@@ -304,6 +304,71 @@ func TestRelearnHealLoopEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRelearnSnapshotHoldsTrippingPage: the relearn job a DRIFTED verdict
+// schedules must see the page whose observation tripped the verdict.  The
+// serving path feeds the reservoir before it notifies the relearner, so
+// the job's snapshot cannot race the feed of that page.
+func TestRelearnSnapshotHoldsTrippingPage(t *testing.T) {
+	eng := synth.NewEngine(21, 2, true)
+	reg := NewRegistry(core.DefaultOptions())
+	if err := reg.Add("beta", trainWrapper(t, eng)); err != nil {
+		t.Fatal(err)
+	}
+	qcfg := quality.Config{WarmupPages: 12, Window: 8}
+	reg.SetQualityConfig(qcfg)
+
+	first := make(chan []*core.SamplePage, 1)
+	relearnBuildHook = func(ctx context.Context, samples []*core.SamplePage) (*core.EngineWrapper, error) {
+		select {
+		case first <- samples:
+		default:
+		}
+		return nil, errors.New("samples captured")
+	}
+	defer func() { relearnBuildHook = nil }()
+	// One holdout page, taken from the front of the snapshot, so the newest
+	// pages all train: the tripping page must reach the build hook.
+	ctrl := reg.EnableRelearn(relearn.Config{
+		MaxPages:     64,
+		MinPages:     4,
+		TrainPages:   32,
+		HoldoutPages: 1,
+		Backoff:      time.Minute,
+		MaxFailures:  10,
+	})
+	defer ctrl.Close()
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+
+	warm := qcfg.WarmupPages + 4
+	de := synth.NewDriftingEngine(eng, warm)
+	var trip *synth.GenPage
+	for q := 0; q < warm+200 && trip == nil; q++ {
+		gp := de.Page(q)
+		if st := postPage(t, srv.Client(), srv.URL, "beta", gp); st != http.StatusOK {
+			t.Fatalf("page %d: status %d", q, st)
+		}
+		if reg.Quality().Verdict("beta") == quality.Drifted {
+			trip = gp
+		}
+	}
+	if trip == nil {
+		t.Fatal("engine never reached DRIFTED")
+	}
+	select {
+	case samples := <-first:
+		for _, s := range samples {
+			if s.HTML == trip.HTML {
+				return
+			}
+		}
+		t.Fatalf("first relearn attempt trained on %d pages, none of them the page (query %d) that tripped DRIFTED",
+			len(samples), trip.QueryIndex)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no relearn attempt after DRIFTED")
+	}
+}
+
 // TestRelearnFailureBackoffCircuitAndManualRecovery drives the failure path
 // through the HTTP stack: a broken wrapper induction fails every relearn
 // attempt, retries back off, the circuit opens and pins the engine

@@ -21,6 +21,11 @@
 //	                              (or a bare JSON array of items); response:
 //	                              per-item results and per-item errors
 //
+// A single /extract is a batch of one: both endpoints, and ExtractCached,
+// run each page through the one per-page pipeline in pipeline.go, so an
+// item gets the same status on either endpoint and a 200 batch item
+// carries the exact bytes /extract would have sent.
+//
 // With SetCache the registry serves byte-identical repeat pages from a
 // content-addressed result cache (see internal/excache): extraction is
 // deterministic per (wrapper generation, page bytes, query), so a hit
@@ -43,14 +48,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -128,9 +131,6 @@ func (r *Registry) Quality() *quality.Tracker { return r.quality }
 // Handler.
 func (r *Registry) SetQualityConfig(cfg quality.Config) {
 	r.quality = quality.NewTracker(cfg)
-	// The fresh tracker must keep driving the relearn controller (the hook
-	// lives on the tracker, which was just replaced).
-	r.wireQualityHook()
 }
 
 // SetJournal installs the wide-event request journal: one JSON line per
@@ -485,285 +485,12 @@ const statusClientClosedRequest = 499
 // admission slot open.
 var extractTestHook func(engine string)
 
-func (r *Registry) handleExtract(w http.ResponseWriter, req *http.Request) {
-	name := req.URL.Query().Get("engine")
-	if req.Method != http.MethodPost {
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, name, "POST required")
-		return
-	}
-	if name == "" {
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusBadRequest, "", "missing ?engine=")
-		return
-	}
-	if !r.Owns(name) {
-		r.writeMisrouted(w, name)
-		return
-	}
-	ent, ok := r.get(name)
-	if !ok {
-		// Deliberately not tracked per engine: arbitrary names in the
-		// query string must not grow the metrics map without bound.
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusNotFound, name, fmt.Sprintf("unknown engine %q", name))
-		return
-	}
-	em := r.metrics.engine(name)
-	em.requests.Inc()
-
-	// Wide-event journal: the sampling decision is made up front so the
-	// extraction below can carry a per-request span tree (stage timings)
-	// only when someone will read it.  The deferred emit sees the final
-	// response status via instrument's statusWriter.
-	var jev *JournalEvent
-	if r.journal.Sample() {
-		jev = &JournalEvent{
-			RequestID: RequestID(req.Context()),
-			Engine:    name,
-		}
-		start := time.Now()
-		defer func() {
-			jev.Time = nowRFC3339()
-			jev.TotalMs = float64(time.Since(start)) / float64(time.Millisecond)
-			if sw, ok := w.(*statusWriter); ok {
-				jev.Status = sw.status
-			}
-			r.journal.Write(*jev)
-		}()
-	}
-
-	// Admission control: get an extraction slot before touching the body,
-	// so a shed request costs neither an 8 MB read nor pooled memory.
-	wait, err := r.limiter.acquire(req.Context())
-	r.metrics.queueWait.Observe(wait)
-	if jev != nil {
-		jev.QueueWaitMs = float64(wait) / float64(time.Millisecond)
-	}
-	if err != nil {
-		if errors.Is(err, errShed) {
-			r.metrics.shed.Inc()
-			w.Header().Set("Retry-After", r.limiter.retryAfter())
-			writeError(w, http.StatusTooManyRequests, name, "server at capacity, retry later")
-		} else {
-			// Client gone (or deadline up) while queued: its problem, not
-			// the engine's — per-engine error counters stay clean.
-			r.metrics.canceled.Inc()
-			writeError(w, statusClientClosedRequest, name, "request canceled while queued")
-		}
-		return
-	}
-	defer r.limiter.release()
-	r.metrics.extractInFlight.Add(1)
-	defer r.metrics.extractInFlight.Add(-1)
-
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bodyPool.Put(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(req.Body, MaxPageBytes+1)); err != nil {
-		// Distinguish a vanished client from a malformed request: only the
-		// latter is an engine-attributed error.  A dead request context (or
-		// a body cut off mid-chunk) means the client hung up on us.
-		if req.Context().Err() != nil || errors.Is(err, io.ErrUnexpectedEOF) {
-			r.metrics.canceled.Inc()
-			writeError(w, statusClientClosedRequest, name, "client disconnected during body read")
-			return
-		}
-		em.errors.Inc()
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusBadRequest, name, "reading body: "+err.Error())
-		return
-	}
-	if buf.Len() > MaxPageBytes {
-		em.errors.Inc()
-		r.metrics.errors.Inc()
-		writeError(w, http.StatusRequestEntityTooLarge, name,
-			fmt.Sprintf("page exceeds %d bytes", MaxPageBytes))
-		return
-	}
-	var query []string
-	if q := req.URL.Query().Get("q"); q != "" {
-		query = strings.FieldsFunc(q, func(r rune) bool { return r == '+' || r == ' ' })
-	}
-
-	// The one body copy per request: extracted text and link strings slice
-	// into this string, so it cannot alias the pooled read buffer.
-	html := buf.String()
-
-	// Journaled requests get a per-request span tree for stage timings; a
-	// nil root costs nothing (obs spans are nil-safe).
-	var root *obs.Span
-	if jev != nil {
-		jev.PageBytes = len(html)
-		jev.PageHash = pageHash(html)
-		jev.Query = query
-		root = obs.NewSpan(obs.RootExtract)
-	}
-
-	out, err := r.extractEntry(req.Context(), name, ent, em, html, query, root)
-	if err != nil {
-		if jev != nil {
-			jev.Error = err.Error()
-			if out.assessed {
-				journalQuality(jev, out.assessment)
-			}
-		}
-		r.writeExtractError(w, req.Context(), name, err)
-		return
-	}
-	if out.cached {
-		// A cache hit serves the same sections the miss already counted
-		// once; keep the served-totals counters honest either way.
-		em.sections.Add(int64(out.entry.Sections))
-		em.records.Add(int64(out.entry.Records))
-	}
-	if jev != nil {
-		jev.Sections = out.entry.Sections
-		jev.Records = out.entry.Records
-		jev.Cached = out.cached
-		if out.assessed {
-			journalQuality(jev, out.assessment)
-		}
-		jev.StagesMs = stageTimings(root)
-	}
-	writeBody(w, http.StatusOK, out.entry.Body)
-	// Reservoir sampling happens strictly after the response bytes are out:
-	// the relearner inherits this request's one body copy (html slices into
-	// nothing pooled) at zero additional latency to the client.
-	r.feedRelearn(name, html, query)
-}
-
-// extractErrorStatus maps an extraction error to a status and message:
-// cooperative cancellation (the pipeline's ErrCanceled or a singleflight
-// waiter's own context) becomes 499/503 without touching per-engine error
-// counters — a vanished client says nothing about the engine — and
-// anything else is a 500 whose counters the fill path already fed.
-func (r *Registry) extractErrorStatus(ctx context.Context, err error) (int, string) {
-	if errors.Is(err, core.ErrCanceled) || errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) {
-		r.metrics.canceled.Inc()
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return http.StatusServiceUnavailable, "deadline exceeded during extraction"
-		}
-		return statusClientClosedRequest, "client canceled during extraction"
-	}
-	return http.StatusInternalServerError, "extraction failed: " + err.Error()
-}
-
-func (r *Registry) writeExtractError(w http.ResponseWriter, ctx context.Context, name string, err error) {
-	status, msg := r.extractErrorStatus(ctx, err)
-	writeError(w, status, name, msg)
-}
-
-// writeMisrouted answers a request for an engine this shard does not own:
-// 421 plus the owner's index, so a thin front tier (or the client itself)
-// can re-aim the request without any server-side proxying.
-func (r *Registry) writeMisrouted(w http.ResponseWriter, name string) {
-	r.metrics.misrouted.Inc()
-	idx, total, _ := r.ShardInfo()
-	owner := r.ring.Owner(name)
-	writeJSON(w, http.StatusMisdirectedRequest, misrouteJSON{
-		Error:      fmt.Sprintf("engine %q is owned by shard %d/%d (this is shard %d)", name, owner, total, idx),
-		Engine:     name,
-		OwnerShard: owner,
-		Shards:     total,
-	})
-}
-
 // misrouteJSON is the wire form of a 421 shard-misroute response.
 type misrouteJSON struct {
 	Error      string `json:"error"`
 	Engine     string `json:"engine"`
 	OwnerShard int    `json:"owner_shard"`
 	Shards     int    `json:"shards"`
-}
-
-// extractOutcome is what the shared extraction core hands back to the
-// single, batch and API callers.
-type extractOutcome struct {
-	entry  *excache.Entry
-	cached bool // served from the cache (resident hit or collapsed miss)
-	// assessment is the drift verdict fed on the fill path; hits carry
-	// none (assessed=false) — a replayed result says nothing new about
-	// the engine.
-	assessment quality.Assessment
-	assessed   bool
-}
-
-// extractEntry is the one extraction path every serving surface shares:
-// it consults the content-addressed cache (when installed) and, on a miss,
-// runs the full pipeline, serializes the response once, feeds the
-// per-engine metrics and the drift detector, and caches the entry.
-// Concurrent identical misses collapse to one pipeline run.
-func (r *Registry) extractEntry(ctx context.Context, name string, ent *engineEntry, em *engineMetrics, html string, query []string, root *obs.Span) (extractOutcome, error) {
-	var out extractOutcome
-	fill := func() (*excache.Entry, error) {
-		start := time.Now()
-		sections, lease, err := ent.ew.ExtractLeasedObs(ctx, html, query, root)
-		elapsed := time.Since(start)
-		em.latency.Observe(elapsed)
-		if err != nil {
-			if errors.Is(err, core.ErrCanceled) {
-				// The pipeline aborted cooperatively; every pooled resource
-				// is already back (ExtractLeasedObs releases on the way
-				// out).  The drift detector does not see this page: a
-				// vanished client or an expired deadline says nothing about
-				// the engine.
-				return nil, err
-			}
-			em.errors.Inc()
-			r.metrics.errors.Inc()
-			out.assessment = r.quality.Observe(name, quality.Observation{Latency: elapsed, Err: true})
-			out.assessed = true
-			em.applyQuality(out.assessment)
-			return nil, err
-		}
-		// Deferred — not called right after serialization — so a panic while
-		// building the entry still returns the page and its parse arena to
-		// the pools.  The entry holds only plain bytes, so it outlives the
-		// lease (and any number of future cache hits) regardless.
-		defer lease.Release()
-		if extractTestHook != nil {
-			extractTestHook(name)
-		}
-		e, err := buildEntry(name, sections)
-		if err != nil {
-			em.errors.Inc()
-			r.metrics.errors.Inc()
-			return nil, err
-		}
-		em.sections.Add(int64(e.Sections))
-		em.records.Add(int64(e.Records))
-		if e.Sections == 0 {
-			em.empty.Inc()
-		}
-		// Feed the drift detector and mirror its state onto the quality
-		// gauges; a verdict change is worth an operator-visible log line.
-		out.assessment = r.quality.Observe(name, quality.Observation{
-			Sections: e.Sections,
-			Records:  e.Records,
-			Latency:  elapsed,
-		})
-		out.assessed = true
-		em.applyQuality(out.assessment)
-		if out.assessment.Changed && r.log != nil {
-			r.log.Warn("drift verdict changed",
-				"engine", name,
-				"verdict", out.assessment.Verdict.String(),
-				"anomaly_rate", out.assessment.AnomalyRate,
-			)
-		}
-		return e, nil
-	}
-	if r.cache == nil {
-		e, err := fill()
-		out.entry = e
-		return out, err
-	}
-	key := excache.Key{Engine: name, Gen: ent.gen, Hash: excache.HashPage(html, query)}
-	e, hit, _, err := r.cache.Do(ctx, key, fill)
-	out.entry, out.cached = e, hit
-	return out, err
 }
 
 // buildEntry serializes sections into the exact bytes /extract writes
@@ -792,41 +519,6 @@ func buildEntry(name string, sections []*core.Section) (*excache.Entry, error) {
 	return &excache.Entry{Body: body, Sections: len(sections), Records: records}, nil
 }
 
-// ExtractCached runs one extraction for engine through the same cached
-// path /extract serves, bypassing HTTP, admission control and journaling.
-// It returns the serialized response body and whether it came from the
-// cache.  This is the programmatic surface benchmarks and differential
-// tests drive.
-func (r *Registry) ExtractCached(ctx context.Context, engine, html string, query []string) ([]byte, bool, error) {
-	if !r.Owns(engine) {
-		owner := r.ring.Owner(engine)
-		return nil, false, fmt.Errorf("serve: engine %q owned by shard %d, not this shard", engine, owner)
-	}
-	ent, ok := r.get(engine)
-	if !ok {
-		return nil, false, fmt.Errorf("serve: unknown engine %q", engine)
-	}
-	em := r.metrics.engine(engine)
-	em.requests.Inc()
-	out, err := r.extractEntry(ctx, engine, ent, em, html, query, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if out.cached {
-		em.sections.Add(int64(out.entry.Sections))
-		em.records.Add(int64(out.entry.Records))
-	}
-	return out.entry.Body, out.cached, nil
-}
-
-// journalQuality copies an assessment onto a journal event.
-func journalQuality(jev *JournalEvent, a quality.Assessment) {
-	jev.Verdict = a.Verdict.String()
-	jev.Anomalous = a.Anomalous
-	jev.Score = a.Score
-	jev.AnomalyRate = a.AnomalyRate
-}
-
 // stageTimings flattens a per-request span tree into a stage → ms map for
 // the journal (nil span, nil map).
 func stageTimings(root *obs.Span) map[string]float64 {
@@ -844,10 +536,10 @@ func stageTimings(root *obs.Span) map[string]float64 {
 // bodyPool recycles the request-body read buffers of /extract.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// writeBody writes a pre-serialized JSON response body (a cache entry).
-func writeBody(w http.ResponseWriter, status int, body []byte) {
+// writeBody writes a pre-serialized JSON response body with status 200.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }
 
