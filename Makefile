@@ -28,11 +28,12 @@ fmt:
 msebench-check:
 	cd msebench && $(GO) vet ./... && $(GO) test ./...
 
-# The concurrency-heavy packages — observability, the service layer, the
-# tree-distance cache, fingerprinting, the worker pool, the parallel
-# pipeline stages and the pooled parse/render/apply fast path — run under
-# the race detector, plus the end-to-end differential tests that pin the
-# cached/parallel and pooled-arena outputs to their reference paths.
+# The concurrency-heavy packages — observability, the service layer (with
+# the golden extraction digests of the pooled path), the tree-distance
+# cache, fingerprinting, the worker pool, the parallel pipeline stages and
+# the pooled parse/render/apply fast path — run under the race detector,
+# plus the end-to-end differential tests that pin the parallel pipeline
+# to the serial one and leased sections across their release.
 race:
 	$(GO) test -race ./internal/obs ./internal/quality ./internal/relearn \
 		./internal/serve \

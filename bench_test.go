@@ -307,36 +307,18 @@ func BenchmarkBaselineMDR(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeDistMemoization is the ablation for this PR's tentpole: the
-// full Table-1 evaluation over a slice of the test bed with the
-// tree-distance memoization cache on (the default) versus off (the original
-// fresh-dynamic-program-per-call path).  The ratio of the two is the cache's
-// end-to-end speedup; the differential test pins their outputs equal.
+// BenchmarkTreeDistMemoization runs the full Table-1 evaluation over a
+// slice of the test bed and logs the tree-distance cache counters, the
+// figure to watch when the memoization layer changes.
 func BenchmarkTreeDistMemoization(b *testing.B) {
 	engines := testbed()[:24]
-	was := editdist.CacheEnabled()
-	defer editdist.SetCacheEnabled(was)
-	for _, v := range []struct {
-		name   string
-		cached bool
-	}{
-		{"cached", true},
-		{"uncached", false},
-	} {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			editdist.SetCacheEnabled(v.cached)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mseRun(engines, false, core.DefaultOptions(), 5)
-			}
-			if v.cached {
-				s := editdist.Stats()
-				b.Logf("cache: lookups=%d identical=%d hits=%d misses=%d early-exits=%d hit-rate=%.1f%%",
-					s.Lookups, s.Identical, s.Hits, s.Misses, s.EarlyExits, 100*s.HitRate())
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mseRun(engines, false, core.DefaultOptions(), 5)
 	}
+	s := editdist.Stats()
+	b.Logf("cache: lookups=%d identical=%d hits=%d misses=%d early-exits=%d hit-rate=%.1f%%",
+		s.Lookups, s.Identical, s.Hits, s.Misses, s.EarlyExits, 100*s.HitRate())
 }
 
 // BenchmarkParallelismScaling measures wrapper construction at explicit

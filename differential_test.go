@@ -8,22 +8,19 @@ import (
 	"testing"
 
 	"mse/internal/core"
-	"mse/internal/dom"
 	"mse/internal/editdist"
 	"mse/internal/synth"
 )
 
 // TestDifferentialCacheAndParallelism is the end-to-end soundness check for
-// this PR's performance work: for every engine of a small synthetic test
-// bed, the pipeline run with tree-distance memoization on and the
-// data-parallel stages fanned out over four workers must produce
-// byte-identical wrappers and byte-identical extractions to the serial,
-// uncached reference path.  Any fingerprint collision, cache corruption or
-// scheduling-dependent arithmetic shows up as a diff here.
+// the data-parallel pipeline stages: for every engine of a small synthetic
+// test bed, the pipeline fanned out over four workers — with the shared
+// tree-distance cache warmed by the serial run — must produce
+// byte-identical wrappers and extractions to the serial run.  Any
+// scheduling-dependent arithmetic or a cache entry raced into a wrong
+// value shows up as a diff here.  The committed extraction digests
+// (internal/serve TestExtractDigests) pin the serial output itself.
 func TestDifferentialCacheAndParallelism(t *testing.T) {
-	wasEnabled := editdist.CacheEnabled()
-	defer editdist.SetCacheEnabled(wasEnabled)
-
 	bed := synth.GenerateTestbed(synth.Config{Seed: 2006, Engines: 8, MultiSection: 4, Queries: 10})
 	for ei, e := range bed {
 		var samples []*core.SamplePage
@@ -31,13 +28,12 @@ func TestDifferentialCacheAndParallelism(t *testing.T) {
 			gp := e.Page(q)
 			samples = append(samples, &core.SamplePage{HTML: gp.HTML, Query: gp.Query})
 		}
-		run := func(cached bool, workers int) (wrapperJSON []byte, extractions [][]byte) {
-			editdist.SetCacheEnabled(cached)
+		run := func(workers int) (wrapperJSON []byte, extractions [][]byte) {
 			opt := core.DefaultOptions()
 			opt.Parallelism = workers
 			ew, err := core.BuildWrapper(samples, opt)
 			if err != nil {
-				t.Fatalf("engine %d (cached=%v workers=%d): %v", ei, cached, workers, err)
+				t.Fatalf("engine %d (workers=%d): %v", ei, workers, err)
 			}
 			wj, err := json.Marshal(ew)
 			if err != nil {
@@ -54,25 +50,16 @@ func TestDifferentialCacheAndParallelism(t *testing.T) {
 			return wj, extractions
 		}
 
-		refWrapper, refPages := run(false, 1) // serial, uncached reference
-		for _, variant := range []struct {
-			name    string
-			cached  bool
-			workers int
-		}{
-			{"cached-serial", true, 1},
-			{"cached-parallel", true, 4},
-		} {
-			gotWrapper, gotPages := run(variant.cached, variant.workers)
-			if !bytes.Equal(gotWrapper, refWrapper) {
-				t.Errorf("engine %d: %s wrapper differs from reference\nref: %s\ngot: %s",
-					ei, variant.name, truncate(refWrapper), truncate(gotWrapper))
-			}
-			for pi := range refPages {
-				if !bytes.Equal(gotPages[pi], refPages[pi]) {
-					t.Errorf("engine %d page %d: %s extraction differs from reference\nref: %s\ngot: %s",
-						ei, pi, variant.name, truncate(refPages[pi]), truncate(gotPages[pi]))
-				}
+		refWrapper, refPages := run(1) // serial reference
+		gotWrapper, gotPages := run(4)
+		if !bytes.Equal(gotWrapper, refWrapper) {
+			t.Errorf("engine %d: parallel wrapper differs from serial\nref: %s\ngot: %s",
+				ei, truncate(refWrapper), truncate(gotWrapper))
+		}
+		for pi := range refPages {
+			if !bytes.Equal(gotPages[pi], refPages[pi]) {
+				t.Errorf("engine %d page %d: parallel extraction differs from serial\nref: %s\ngot: %s",
+					ei, pi, truncate(refPages[pi]), truncate(gotPages[pi]))
 			}
 		}
 	}
@@ -82,9 +69,6 @@ func TestDifferentialCacheAndParallelism(t *testing.T) {
 // warm cache: answers served from resident entries must reproduce the
 // first (cache-filling) run exactly.
 func TestDifferentialCacheHitRepeatability(t *testing.T) {
-	wasEnabled := editdist.CacheEnabled()
-	defer editdist.SetCacheEnabled(wasEnabled)
-	editdist.SetCacheEnabled(true)
 	editdist.ResetCache()
 
 	e := synth.NewEngine(2006, 1, true)
@@ -120,65 +104,6 @@ func truncate(b []byte) string {
 		return string(b)
 	}
 	return fmt.Sprintf("%s... (%d bytes)", b[:max], len(b))
-}
-
-// TestDifferentialArenas is the soundness check for the zero-allocation
-// fast path: for every engine of a small synthetic test bed, the pipeline
-// run with pooled parse arenas, render scratches and apply scratches (the
-// default) must produce byte-identical wrappers and extractions to the
-// plain-allocator path restored by dom.SetArenasEnabled(false).  Interning
-// bugs, arena aliasing, stale pooled state or a divergence in the
-// byte-oriented text normalization all show up as a diff here.
-func TestDifferentialArenas(t *testing.T) {
-	was := dom.ArenasEnabled()
-	defer dom.SetArenasEnabled(was)
-
-	bed := synth.GenerateTestbed(synth.Config{Seed: 2006, Engines: 8, MultiSection: 4, Queries: 10})
-	for ei, e := range bed {
-		var samples []*core.SamplePage
-		for q := 0; q < 5; q++ {
-			gp := e.Page(q)
-			samples = append(samples, &core.SamplePage{HTML: gp.HTML, Query: gp.Query})
-		}
-		run := func(arenas bool) (wrapperJSON []byte, extractions [][]byte) {
-			dom.SetArenasEnabled(arenas)
-			ew, err := core.BuildWrapper(samples, core.DefaultOptions())
-			if err != nil {
-				t.Fatalf("engine %d (arenas=%v): %v", ei, arenas, err)
-			}
-			wj, err := json.Marshal(ew)
-			if err != nil {
-				t.Fatalf("engine %d: marshal wrapper: %v", ei, err)
-			}
-			for q := 5; q < 10; q++ {
-				gp := e.Page(q)
-				sj, err := json.Marshal(ew.Extract(gp.HTML, gp.Query))
-				if err != nil {
-					t.Fatalf("engine %d page %d: marshal sections: %v", ei, q, err)
-				}
-				extractions = append(extractions, sj)
-			}
-			return wj, extractions
-		}
-
-		refWrapper, refPages := run(false) // plain-allocator reference
-		// Two pooled runs back to back: the second reuses arenas and
-		// scratches recycled by the first, so stale pooled state cannot
-		// hide behind a cold pool.
-		for round := 0; round < 2; round++ {
-			gotWrapper, gotPages := run(true)
-			if !bytes.Equal(gotWrapper, refWrapper) {
-				t.Errorf("engine %d round %d: pooled wrapper differs from reference\nref: %s\ngot: %s",
-					ei, round, truncate(refWrapper), truncate(gotWrapper))
-			}
-			for pi := range refPages {
-				if !bytes.Equal(gotPages[pi], refPages[pi]) {
-					t.Errorf("engine %d page %d round %d: pooled extraction differs from reference\nref: %s\ngot: %s",
-						ei, pi, round, truncate(refPages[pi]), truncate(gotPages[pi]))
-				}
-			}
-		}
-	}
 }
 
 // TestDifferentialLeasedExtraction checks the serving-path lease contract:

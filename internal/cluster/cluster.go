@@ -194,11 +194,9 @@ func NewInstance(pi int, ps *PageSections, s *sect.Section) *Instance {
 	// Warm the structural fingerprints of the record forest so every later
 	// comparison — including ones racing on a worker pool — finds them
 	// cached on the nodes.
-	if editdist.CacheEnabled() {
-		for _, t := range inst.recForest {
-			if t != nil {
-				t.Fingerprint()
-			}
+	for _, t := range inst.recForest {
+		if t != nil {
+			t.Fingerprint()
 		}
 	}
 	return inst

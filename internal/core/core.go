@@ -231,13 +231,12 @@ func BuildWrapper(samples []*SamplePage, opt Options) (*EngineWrapper, error) {
 	}
 	root.Count("tree_dist_calls", editdist.TreeCalls()-edCalls)
 	root.Count("parallel_workers", int64(par.Workers(opt.Parallelism)))
-	if cs := editdist.Stats().Sub(cs0); editdist.CacheEnabled() {
-		root.Count("tree_cache_lookups", cs.Lookups)
-		root.Count("tree_cache_hits", cs.Hits)
-		root.Count("tree_cache_identical", cs.Identical)
-		root.Count("tree_cache_early_exits", cs.EarlyExits)
-		root.Count("tree_cache_evictions", cs.Evictions)
-	}
+	cs := editdist.Stats().Sub(cs0)
+	root.Count("tree_cache_lookups", cs.Lookups)
+	root.Count("tree_cache_hits", cs.Hits)
+	root.Count("tree_cache_identical", cs.Identical)
+	root.Count("tree_cache_early_exits", cs.EarlyExits)
+	root.Count("tree_cache_evictions", cs.Evictions)
 	return &EngineWrapper{Wrappers: ws, Families: fams, opt: opt}, nil
 }
 

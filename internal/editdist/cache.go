@@ -22,10 +22,8 @@ package editdist
 // arbitrary resident entry per insert.  Eviction order is map-iteration
 // arbitrary, which is safe because cached values are exact — any
 // replacement policy yields identical results, only different hit rates.
-//
-// SetCacheEnabled(false) restores the exact pre-memoization code path
-// (fresh dynamic program per call, sizes via Node.Size); the differential
-// tests compare the two paths for byte-identical pipeline output.
+// The committed extraction digests (internal/serve TestExtractDigests)
+// and the distance-level tests against TreeEditDistance pin that.
 
 import (
 	"sync"
@@ -68,43 +66,13 @@ type distCache struct {
 	evictions  atomic.Int64
 }
 
-var (
-	cache        distCache
-	cacheEnabled atomic.Bool
-)
+var cache distCache
 
 func init() {
-	cacheEnabled.Store(true)
 	cache.perShard.Store(int64(DefaultCacheCapacity / cacheShardCount))
 	for i := range cache.shards {
 		cache.shards[i].m = make(map[pairKey]float64)
 	}
-}
-
-// CacheEnabled reports whether tree-distance memoization is on.
-func CacheEnabled() bool { return cacheEnabled.Load() }
-
-// SetCacheEnabled toggles tree-distance memoization process-wide.  Turning
-// it off flushes resident entries and routes every TreeDist call through
-// the original uncached dynamic program — the reference path used by the
-// differential tests.  Counters are not reset; use ResetCache for that.
-func SetCacheEnabled(on bool) {
-	cacheEnabled.Store(on)
-	if !on {
-		flushCache()
-	}
-}
-
-// SetCacheCapacity bounds the number of resident distance entries (divided
-// evenly over the shards, minimum one per shard) and flushes the cache so
-// the new bound takes effect immediately.
-func SetCacheCapacity(entries int) {
-	per := entries / cacheShardCount
-	if per < 1 {
-		per = 1
-	}
-	cache.perShard.Store(int64(per))
-	flushCache()
 }
 
 // ResetCache flushes all resident entries and zeroes the cache statistics.
@@ -228,8 +196,7 @@ func (c *distCache) put(k pairKey, v float64) {
 // paying for the exact distance: identical fingerprints answer true and
 // the size-ratio lower bound — an edit script must at least insert or
 // delete the size difference, so Dt >= |s1-s2|/max(s1,s2) — answers false,
-// both before running the dynamic program.  With memoization disabled it
-// degenerates to the exact comparison.
+// both before running the dynamic program.
 func WithinTreeDist(t1, t2 *dom.Node, eps float64) bool {
 	if t1 == nil && t2 == nil {
 		return eps >= 0
@@ -237,19 +204,17 @@ func WithinTreeDist(t1, t2 *dom.Node, eps float64) bool {
 	if t1 == nil || t2 == nil {
 		return eps >= 1
 	}
-	if cacheEnabled.Load() {
-		f1, f2 := t1.Fingerprint(), t2.Fingerprint()
-		if f1 == f2 {
-			return eps >= 0
-		}
-		lo, hi := f1.Size, f2.Size
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if hi > 0 && float64(hi-lo)/float64(hi) > eps {
-			cache.earlyExits.Add(1)
-			return false
-		}
+	f1, f2 := t1.Fingerprint(), t2.Fingerprint()
+	if f1 == f2 {
+		return eps >= 0
+	}
+	lo, hi := f1.Size, f2.Size
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if hi > 0 && float64(hi-lo)/float64(hi) > eps {
+		cache.earlyExits.Add(1)
+		return false
 	}
 	return TreeDist(t1, t2) <= eps
 }

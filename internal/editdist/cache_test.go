@@ -22,22 +22,43 @@ func randTree(r *rand.Rand, depth int) *dom.Node {
 	return n
 }
 
-// withCacheState runs fn and restores the cache's enabled state, capacity
-// and contents afterwards, so tests can toggle the global cache freely.
+// setCacheCapacity bounds the number of resident distance entries (divided
+// evenly over the shards, minimum one per shard) and flushes the cache so
+// the new bound takes effect immediately.
+func setCacheCapacity(entries int) {
+	per := entries / cacheShardCount
+	if per < 1 {
+		per = 1
+	}
+	cache.perShard.Store(int64(per))
+	flushCache()
+}
+
+// withCacheState runs fn and restores the cache's capacity and contents
+// afterwards, so tests can resize and flush the global cache freely.
 func withCacheState(t *testing.T, fn func()) {
 	t.Helper()
-	was := CacheEnabled()
 	defer func() {
-		SetCacheEnabled(was)
-		SetCacheCapacity(DefaultCacheCapacity)
+		setCacheCapacity(DefaultCacheCapacity)
 		ResetCache()
 	}()
 	fn()
 }
 
+// refTreeDist is the unmemoized reference for TreeDist: a fresh
+// Zhang-Shasha dynamic program normalized by the larger tree's size.
+func refTreeDist(a, b *dom.Node) float64 {
+	maxSize := a.Size()
+	if s := b.Size(); s > maxSize {
+		maxSize = s
+	}
+	return float64(TreeEditDistance(a, b)) / float64(maxSize)
+}
+
 // TestTreeDistCachedMatchesUncached is the differential test at the
 // distance level: for random tree pairs the memoized path must return
-// exactly the value of the original dynamic program.
+// exactly the value of the plain dynamic program, both when it fills the
+// cache and when it answers from a resident entry.
 func TestTreeDistCachedMatchesUncached(t *testing.T) {
 	withCacheState(t, func() {
 		r := rand.New(rand.NewSource(42))
@@ -45,52 +66,31 @@ func TestTreeDistCachedMatchesUncached(t *testing.T) {
 		for i := range trees {
 			trees[i] = randTree(r, 3)
 		}
-		type pairResult struct{ cached, direct float64 }
-		results := make([]pairResult, 0, len(trees)*len(trees))
-		SetCacheEnabled(true)
 		ResetCache()
-		for _, a := range trees {
-			for _, b := range trees {
-				results = append(results, pairResult{cached: TreeDist(a, b)})
-			}
-		}
 		// Query everything twice so resident-hit answers are covered too.
-		k := 0
-		for _, a := range trees {
-			for _, b := range trees {
-				if got := TreeDist(a, b); got != results[k].cached {
-					t.Fatalf("second cached query differs: %v vs %v", got, results[k].cached)
+		for round := 0; round < 2; round++ {
+			for i, a := range trees {
+				for j, b := range trees {
+					if got, want := TreeDist(a, b), refTreeDist(a, b); got != want {
+						t.Fatalf("round %d pair (%d,%d): cached %v != direct %v", round, i, j, got, want)
+					}
 				}
-				k++
 			}
 		}
-		SetCacheEnabled(false)
-		k = 0
-		for _, a := range trees {
-			for _, b := range trees {
-				results[k].direct = TreeDist(a, b)
-				k++
-			}
-		}
-		for i, pr := range results {
-			if pr.cached != pr.direct {
-				t.Fatalf("pair %d: cached %v != direct %v", i, pr.cached, pr.direct)
-			}
+		if s := Stats(); s.Hits == 0 {
+			t.Fatalf("second round never hit the cache: %+v", s)
 		}
 	})
 }
 
 func TestWithinTreeDistMatchesExact(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
 		ResetCache()
 		r := rand.New(rand.NewSource(7))
 		for i := 0; i < 300; i++ {
 			a, b := randTree(r, 3), randTree(r, 3)
 			eps := float64(r.Intn(11)) / 10
-			SetCacheEnabled(false)
-			want := TreeDist(a, b) <= eps
-			SetCacheEnabled(true)
+			want := refTreeDist(a, b) <= eps
 			if got := WithinTreeDist(a, b, eps); got != want {
 				t.Fatalf("WithinTreeDist(%d, eps=%v) = %v, exact says %v", i, eps, got, want)
 			}
@@ -100,7 +100,6 @@ func TestWithinTreeDistMatchesExact(t *testing.T) {
 
 func TestCacheSymmetric(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
 		ResetCache()
 		r := rand.New(rand.NewSource(3))
 		a, b := randTree(r, 3), randTree(r, 3)
@@ -119,8 +118,7 @@ func TestCacheSymmetric(t *testing.T) {
 
 func TestCacheEvictionBound(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
-		SetCacheCapacity(cacheShardCount) // one entry per shard
+		setCacheCapacity(cacheShardCount) // one entry per shard
 		ResetCache()
 		r := rand.New(rand.NewSource(11))
 		for i := 0; i < 200; i++ {
@@ -138,7 +136,6 @@ func TestCacheEvictionBound(t *testing.T) {
 
 func TestCacheStatsAccounting(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
 		ResetCache()
 		a := randTree(rand.New(rand.NewSource(5)), 3)
 		b := a.Clone()
@@ -169,8 +166,7 @@ func TestCacheStatsAccounting(t *testing.T) {
 // that racing computes agree.
 func TestCacheConcurrent(t *testing.T) {
 	withCacheState(t, func() {
-		SetCacheEnabled(true)
-		SetCacheCapacity(256) // small: forces concurrent evictions too
+		setCacheCapacity(256) // small: forces concurrent evictions too
 		ResetCache()
 		r := rand.New(rand.NewSource(13))
 		trees := make([]*dom.Node, 24)
@@ -178,13 +174,11 @@ func TestCacheConcurrent(t *testing.T) {
 			trees[i] = randTree(r, 3)
 		}
 		want := make(map[[2]int]float64)
-		SetCacheEnabled(false)
 		for i := range trees {
 			for j := range trees {
-				want[[2]int{i, j}] = TreeDist(trees[i], trees[j])
+				want[[2]int{i, j}] = refTreeDist(trees[i], trees[j])
 			}
 		}
-		SetCacheEnabled(true)
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)
 		for w := 0; w < 8; w++ {
@@ -208,6 +202,25 @@ func TestCacheConcurrent(t *testing.T) {
 		close(errs)
 		if msg, ok := <-errs; ok {
 			t.Fatal(msg)
+		}
+	})
+}
+
+// TestCacheKeyIncludesSizes pins the collision guard documented on
+// pairKey: two fingerprint pairs whose hashes agree but whose sizes differ
+// must not share a cache entry.
+func TestCacheKeyIncludesSizes(t *testing.T) {
+	a := dom.Fingerprint{Hash: 7, Size: 3}
+	b := dom.Fingerprint{Hash: 9, Size: 5}
+	c := dom.Fingerprint{Hash: 7, Size: 4}
+	if makeKey(a, b) != makeKey(b, a) {
+		t.Fatal("makeKey is not symmetric")
+	}
+	withCacheState(t, func() {
+		ResetCache()
+		cache.put(makeKey(a, b), 0.25)
+		if v, ok := cache.get(makeKey(c, b)); ok {
+			t.Fatalf("pair with a different size answered %v from another pair's entry", v)
 		}
 	})
 }

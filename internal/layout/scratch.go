@@ -113,7 +113,7 @@ func (sc *renderScratch) ensure(nodeCount int) {
 // ScratchStats are cumulative render-scratch pool counters; exposed on
 // /metrics and /statusz by the extraction service.
 type ScratchStats struct {
-	Acquires uint64 `json:"acquires"` // RenderPooled calls using the pool
+	Acquires uint64 `json:"acquires"` // pooled renders
 	Reuses   uint64 `json:"reuses"`   // acquires satisfied from the pool
 	Releases uint64 `json:"releases"` // pages returned to the pool
 }
@@ -147,7 +147,7 @@ func acquireScratch() *renderScratch {
 // Release recycles the page's scratch (lines backing, maps and chunk
 // arenas) into the render pool.  It must only be called once no Line,
 // span or forest obtained from the page is referenced anymore; pages not
-// created by RenderPooled ignore the call.  The page is unusable
+// created by a pooled render ignore the call.  The page is unusable
 // afterwards.
 func (p *Page) Release() {
 	sc := p.scratch

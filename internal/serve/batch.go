@@ -109,6 +109,7 @@ func (r *Registry) handleExtractBatch(w http.ResponseWriter, req *http.Request) 
 	// item that extracts for its content address.  Duplicates within the
 	// batch collapse before any cache or pipeline work happens.
 	items := make([]item, len(batch))
+	defer r.journalPanic(items, start)
 	byKey := map[excache.Key]*item{}
 	var leads []*item
 	for i, bi := range batch {
@@ -124,7 +125,7 @@ func (r *Registry) handleExtractBatch(w http.ResponseWriter, req *http.Request) 
 		if !r.resolve(it) || !r.checkSize(it, len(it.html)) {
 			continue
 		}
-		key := excache.Key{Engine: it.engine, Gen: it.ent.gen, Hash: excache.HashPage(it.html, it.query)}
+		key := it.contentKey()
 		if lead := byKey[key]; lead != nil {
 			it.lead = lead
 			continue

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mse/internal/core"
+	"mse/internal/excache"
 	"mse/internal/shard"
 	"mse/internal/synth"
 )
@@ -250,6 +251,29 @@ func TestBatchMatchesSingle(t *testing.T) {
 	}
 	if got := br.Results[3]; got.Status != http.StatusNotFound || got.Error == "" {
 		t.Errorf("unknown-engine item = %+v, want 404 with error", got)
+	}
+}
+
+// TestExtractReusesCarriedKey pins the single hash per batch page: extract
+// files its result under the content key the batch dedupe already put on
+// the item instead of hashing the page a second time.
+func TestExtractReusesCarriedKey(t *testing.T) {
+	reg, eng := testRegistry(t)
+	reg.SetCache(16 << 20)
+	gp := eng.Page(11)
+	it := item{engine: "demo", html: gp.HTML, query: gp.Query}
+	if !reg.resolve(&it) {
+		t.Fatal(it.msg)
+	}
+	// Deliberately not the page's hash, so a recomputed key would differ.
+	carried := excache.Key{Engine: "demo", Gen: it.ent.gen, Hash: excache.Hash128{Hi: 1, Lo: 2}}
+	it.key = carried
+	reg.extract(context.Background(), &it)
+	if it.status != http.StatusOK {
+		t.Fatalf("status = %d (%s)", it.status, it.msg)
+	}
+	if _, ok := reg.Cache().Get(carried); !ok {
+		t.Fatal("result not filed under the carried key: extract hashed the page again")
 	}
 }
 

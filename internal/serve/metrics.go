@@ -180,7 +180,6 @@ func excacheSnapshot(c *excache.Cache) *excacheJSON {
 // extraction fast path: parse arenas, render scratches and apply
 // scratches (see dom.Arena and the DESIGN notes on arena soundness).
 type poolsJSON struct {
-	ArenasEnabled bool                      `json:"arenas_enabled"`
 	ParseArena    dom.ArenaStats            `json:"parse_arena"`
 	RenderScratch layout.ScratchStats       `json:"render_scratch"`
 	ApplyScratch  wrapper.ApplyScratchStats `json:"apply_scratch"`
@@ -194,7 +193,6 @@ type poolsJSON struct {
 
 func poolsSnapshot() *poolsJSON {
 	return &poolsJSON{
-		ArenasEnabled: dom.ArenasEnabled(),
 		ParseArena:    dom.ArenaStatsSnapshot(),
 		RenderScratch: layout.ScratchStatsSnapshot(),
 		ApplyScratch:  wrapper.ApplyScratchStatsSnapshot(),
@@ -205,18 +203,13 @@ func poolsSnapshot() *poolsJSON {
 
 // treeCacheJSON reports the process-wide tree-distance memoization cache.
 type treeCacheJSON struct {
-	Enabled bool    `json:"enabled"`
 	HitRate float64 `json:"hit_rate"`
 	editdist.CacheStats
 }
 
 func treeCacheSnapshot() *treeCacheJSON {
 	s := editdist.Stats()
-	return &treeCacheJSON{
-		Enabled:    editdist.CacheEnabled(),
-		HitRate:    s.HitRate(),
-		CacheStats: s,
-	}
+	return &treeCacheJSON{HitRate: s.HitRate(), CacheStats: s}
 }
 
 // snapshot returns the /metrics payload.  c is the registry's extraction
@@ -306,12 +299,11 @@ func (m *Metrics) writeStatusz(w io.Writer, info StatusInfo) {
 		info.RelearnOn, rs.Jobs, rs.Failures, rs.CanaryRejects, rs.Swaps,
 		rs.Degraded, rs.Active, rs.ReservoirPages, rs.ReservoirBytes)
 	tc := treeCacheSnapshot()
-	fmt.Fprintf(w, "tree-cache: enabled=%v entries=%d lookups=%d identical=%d hits=%d misses=%d early-exits=%d evictions=%d hit-rate=%.1f%%\n",
-		tc.Enabled, tc.Entries, tc.Lookups, tc.Identical, tc.Hits, tc.Misses,
+	fmt.Fprintf(w, "tree-cache: entries=%d lookups=%d identical=%d hits=%d misses=%d early-exits=%d evictions=%d hit-rate=%.1f%%\n",
+		tc.Entries, tc.Lookups, tc.Identical, tc.Hits, tc.Misses,
 		tc.EarlyExits, tc.Evictions, 100*tc.HitRate)
 	ps := poolsSnapshot()
-	fmt.Fprintf(w, "pools: arenas=%v parse(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) render(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) apply(acquires=%d reuses=%d reuse-rate=%.1f%%)\n",
-		ps.ArenasEnabled,
+	fmt.Fprintf(w, "pools: parse(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) render(acquires=%d reuses=%d releases=%d reuse-rate=%.1f%%) apply(acquires=%d reuses=%d reuse-rate=%.1f%%)\n",
 		ps.ParseArena.Acquires, ps.ParseArena.Reuses, ps.ParseArena.Releases,
 		ratio(ps.ParseArena.Reuses, ps.ParseArena.Acquires),
 		ps.RenderScratch.Acquires, ps.RenderScratch.Reuses, ps.RenderScratch.Releases,

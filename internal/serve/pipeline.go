@@ -31,6 +31,7 @@ type item struct {
 	em     *engineMetrics
 	html   string
 	query  []string
+	key    excache.Key // content address; see contentKey
 
 	jev  *JournalEvent // nil when the item is not sampled
 	root *obs.Span     // stage timings for the journal; nil when unsampled
@@ -49,6 +50,16 @@ type item struct {
 	// engine.
 	assessment quality.Assessment
 	assessed   bool
+}
+
+// contentKey returns the item's cache key, hashing the page only on first
+// use: the batch dedupe computes it before extract needs it, and the one
+// hash serves both.
+func (it *item) contentKey() excache.Key {
+	if it.key.Engine == "" {
+		it.key = excache.Key{Engine: it.engine, Gen: it.ent.gen, Hash: excache.HashPage(it.html, it.query)}
+	}
+	return it.key
 }
 
 // fail records the item's error outcome; it returns false, which ends the
@@ -199,7 +210,7 @@ func (r *Registry) extract(ctx context.Context, it *item) {
 	}
 	var key excache.Key // a nil cache runs fill directly
 	if r.cache != nil {
-		key = excache.Key{Engine: it.engine, Gen: it.ent.gen, Hash: excache.HashPage(it.html, it.query)}
+		key = it.contentKey()
 	}
 	e, hit, _, err := r.cache.Do(ctx, key, fill)
 	if err != nil {
@@ -263,14 +274,16 @@ func (r *Registry) extractErrorStatus(ctx context.Context, err error) (int, stri
 	return http.StatusInternalServerError, "extraction failed: " + err.Error()
 }
 
-// journalItem writes a sampled item's journal line; total is the time from
-// request arrival to the response write, which follows right after, so a
-// client holding the response finds its line already journaled.
+// journalItem writes a sampled item's journal line, once; total is the
+// time from request arrival to the response write, which follows right
+// after, so a client holding the response finds its line already
+// journaled.
 func (r *Registry) journalItem(it *item, total time.Duration) {
 	jev := it.jev
 	if jev == nil {
 		return
 	}
+	it.jev = nil
 	jev.Time = nowRFC3339()
 	jev.Status = it.status
 	jev.Error = it.msg
@@ -294,6 +307,23 @@ func (r *Registry) journalItem(it *item, total time.Duration) {
 	}
 	jev.StagesMs = stageTimings(it.root)
 	r.journal.Write(*jev)
+}
+
+// journalPanic, deferred by a handler, journals the request's sampled
+// items when the handler unwinds with a panic: the recoverer answers 500,
+// so that is the status they record.  Items already journaled are not
+// written again.  It re-panics so the recoverer still sees the panic.
+func (r *Registry) journalPanic(items []item, start time.Time) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	total := time.Since(start)
+	for i := range items {
+		items[i].status, items[i].msg = http.StatusInternalServerError, "internal error"
+		r.journalItem(&items[i], total)
+	}
+	panic(p)
 }
 
 // afterResponse is the post-response step of an item that ran the
@@ -336,19 +366,22 @@ func (r *Registry) readBody(req *http.Request, limit int64) (*bytes.Buffer, int,
 func (r *Registry) handleExtract(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	params := req.URL.Query()
-	it := item{engine: params.Get("engine")}
+	var items [1]item
+	it := &items[0]
+	it.engine = params.Get("engine")
 	if req.Method != http.MethodPost {
 		r.metrics.errors.Inc()
 		writeError(w, http.StatusMethodNotAllowed, it.engine, "POST required")
 		return
 	}
+	defer r.journalPanic(items[:], start)
 	ctx := req.Context()
-	r.sample(ctx, &it)
+	r.sample(ctx, it)
 	it.query = parseQuery(params.Get("q"))
-	if r.resolve(&it) && r.admit(ctx, &it) {
-		r.extractBody(ctx, req, &it)
+	if r.resolve(it) && r.admit(ctx, it) {
+		r.extractBody(ctx, req, it)
 	}
-	r.journalItem(&it, time.Since(start))
+	r.journalItem(it, time.Since(start))
 	switch {
 	case it.status == http.StatusOK:
 		writeBody(w, it.entry.Body)
@@ -360,7 +393,7 @@ func (r *Registry) handleExtract(w http.ResponseWriter, req *http.Request) {
 		}
 		writeError(w, it.status, it.engine, it.msg)
 	}
-	r.afterResponse(&it)
+	r.afterResponse(it)
 }
 
 // extractBody reads an admitted /extract item's page and extracts it,

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -49,13 +51,9 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	// The deferred lease release must have run during the unwind: every
 	// arena acquired since the baseline has been released again.
-	if dom.ArenasEnabled() {
-		after := dom.ArenaStatsSnapshot()
-		acq := after.Acquires - before.Acquires
-		rel := after.Releases - before.Releases
-		if acq != rel {
-			t.Fatalf("arena leak across panic: %d acquired, %d released", acq, rel)
-		}
+	after := dom.ArenaStatsSnapshot()
+	if acq, rel := after.Acquires-before.Acquires, after.Releases-before.Releases; acq != rel {
+		t.Fatalf("arena leak across panic: %d acquired, %d released", acq, rel)
 	}
 
 	// The server must keep serving: the same request without the panic
@@ -70,6 +68,61 @@ func TestPanicRecovery(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic request status = %d, want 200", resp2.StatusCode)
+	}
+}
+
+// TestPanicJournals500 checks that a request unwinding with a panic still
+// writes its journal lines, with the 500 the recoverer answers: on
+// /extract, and for every sampled item of a /extract/batch (an in-batch
+// duplicate included).
+func TestPanicJournals500(t *testing.T) {
+	reg, eng := testRegistry(t)
+	reg.SetAccessLog(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	var journal bytes.Buffer
+	reg.SetJournal(&journal, 1)
+	h := reg.Handler()
+
+	extractTestHook = func(string) { panic("injected test panic") }
+	defer func() { extractTestHook = nil }()
+
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/extract?engine=demo",
+		strings.NewReader(eng.Page(11).HTML)))
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("/extract status = %d, want 500", rr.Code)
+	}
+	batch, err := json.Marshal(map[string]any{"items": []map[string]string{
+		{"html": eng.Page(12).HTML}, {"html": eng.Page(13).HTML}, {"html": eng.Page(12).HTML},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/extract/batch?engine=demo", bytes.NewReader(batch)))
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("/extract/batch status = %d, want 500", rr.Code)
+	}
+
+	var lines []JournalEvent
+	sc := bufio.NewScanner(&journal)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var ev JournalEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("journal line %q: %v", sc.Text(), err)
+		}
+		lines = append(lines, ev)
+	}
+	if len(lines) != 4 {
+		t.Fatalf("journal has %d lines, want 4 (1 single + 3 batch items):\n%s", len(lines), journal.String())
+	}
+	for i, ev := range lines {
+		if ev.Status != http.StatusInternalServerError || ev.Engine != "demo" {
+			t.Errorf("line %d: status %d engine %q, want 500 demo", i, ev.Status, ev.Engine)
+		}
+		if wantBatch := i > 0; ev.Batch != wantBatch || (wantBatch && ev.BatchIndex != i-1) {
+			t.Errorf("line %d: batch=%v index=%d", i, ev.Batch, ev.BatchIndex)
+		}
 	}
 }
 

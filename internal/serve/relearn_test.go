@@ -668,3 +668,60 @@ func TestSwapPersistsSnapshot(t *testing.T) {
 		t.Fatalf("generation = %d after best-effort persist, want 2", g)
 	}
 }
+
+// TestConcurrentSwapsPersistNewestGeneration races wrapper swaps of one
+// engine against each other: once every Add has returned, the snapshot
+// on disk must hold the generation the registry serves, never an older
+// one written last.
+func TestConcurrentSwapsPersistNewestGeneration(t *testing.T) {
+	data := trainWrapper(t, synth.NewEngine(55, 3, true))
+	path := filepath.Join(t.TempDir(), "fleet.snap")
+	reg := NewRegistry(core.DefaultOptions())
+	// A larger fleet makes each snapshot slower to serialize, widening the
+	// window in which a swap could overtake another swap's persist.
+	for i := 0; i < 40; i++ {
+		if err := reg.Add(fmt.Sprintf("filler%02d", i), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg.SetSnapshotPath(path)
+	if err := reg.Add("alpha", data); err != nil {
+		t.Fatal(err)
+	}
+	const workers, swaps = 8, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < swaps; i++ {
+				if err := reg.Add("alpha", data); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotFile
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	want := reg.Status()["alpha"].Generation
+	if want != 1+workers*swaps {
+		t.Fatalf("registry generation = %d, want %d", want, 1+workers*swaps)
+	}
+	var got uint64
+	for _, e := range snap.Engines {
+		if e.Name == "alpha" {
+			got = e.Generation
+		}
+	}
+	if got != want {
+		t.Fatalf("snapshot holds alpha at generation %d, registry serves %d", got, want)
+	}
+}

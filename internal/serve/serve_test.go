@@ -319,8 +319,7 @@ func TestMetricsReportPools(t *testing.T) {
 	defer resp.Body.Close()
 	var out struct {
 		Pools *struct {
-			ArenasEnabled bool `json:"arenas_enabled"`
-			ParseArena    struct {
+			ParseArena struct {
 				Acquires int64 `json:"acquires"`
 			} `json:"parse_arena"`
 		} `json:"pools"`
@@ -331,7 +330,7 @@ func TestMetricsReportPools(t *testing.T) {
 	if out.Pools == nil {
 		t.Fatalf("metrics snapshot has no pools section")
 	}
-	if out.Pools.ArenasEnabled && out.Pools.ParseArena.Acquires == 0 {
-		t.Fatalf("arenas enabled but no arena acquires recorded")
+	if out.Pools.ParseArena.Acquires == 0 {
+		t.Fatalf("an extraction recorded no parse-arena acquires")
 	}
 }

@@ -8,7 +8,6 @@ package serve
 // reset).
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -67,29 +66,27 @@ func (r *Registry) SaveSnapshot(w io.Writer) error {
 func (r *Registry) SetSnapshotPath(path string) { r.snapPath = path }
 
 // persistSnapshot writes the fleet to the armed snapshot path atomically:
-// a temp file in the same directory, fsynced, then renamed over the
-// target, so a crash mid-write can never leave a torn snapshot for the
-// next start to choke on.  Concurrent swaps serialize on snapMu — last
-// writer wins with a complete document either way.  A no-op without an
-// armed path.
+// a temp file in the same directory, fsynced, renamed over the target, and
+// the directory fsynced so the rename itself survives a crash.  A crash
+// mid-write can never leave a torn snapshot for the next start to choke
+// on.  Concurrent swaps serialize on snapMu, and each reads the fleet only
+// once it holds the lock, so the last snapshot written is never older than
+// the last swap.  A no-op without an armed path.
 func (r *Registry) persistSnapshot() error {
 	if r.snapPath == "" {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := r.SaveSnapshot(&buf); err != nil {
-		return err
-	}
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	tmp, err := os.CreateTemp(filepath.Dir(r.snapPath), ".snapshot-*.tmp")
+	dir := filepath.Dir(r.snapPath)
+	tmp, err := os.CreateTemp(dir, ".snapshot-*.tmp")
 	if err != nil {
 		return fmt.Errorf("serve: snapshot temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if err := r.SaveSnapshot(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("serve: writing snapshot: %w", err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -100,6 +97,14 @@ func (r *Registry) persistSnapshot() error {
 	}
 	if err := os.Rename(tmp.Name(), r.snapPath); err != nil {
 		return fmt.Errorf("serve: installing snapshot: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("serve: syncing snapshot directory: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("serve: syncing snapshot directory: %w", err)
 	}
 	return nil
 }

@@ -117,15 +117,13 @@ func TestStressExtract(t *testing.T) {
 	// Close waits for the handlers abandoned by their clients to finish,
 	// after which every pooled acquisition must have been released.
 	srv.Close()
-	if dom.ArenasEnabled() {
-		arenaAfter := dom.ArenaStatsSnapshot()
-		if acq, rel := arenaAfter.Acquires-arenaBefore.Acquires, arenaAfter.Releases-arenaBefore.Releases; acq != rel {
-			t.Fatalf("arena leak across storm: %d acquired, %d released", acq, rel)
-		}
-		scratchAfter := layout.ScratchStatsSnapshot()
-		if acq, rel := scratchAfter.Acquires-scratchBefore.Acquires, scratchAfter.Releases-scratchBefore.Releases; acq != rel {
-			t.Fatalf("render scratch leak across storm: %d acquired, %d released", acq, rel)
-		}
+	arenaAfter := dom.ArenaStatsSnapshot()
+	if acq, rel := arenaAfter.Acquires-arenaBefore.Acquires, arenaAfter.Releases-arenaBefore.Releases; acq != rel {
+		t.Fatalf("arena leak across storm: %d acquired, %d released", acq, rel)
+	}
+	scratchAfter := layout.ScratchStatsSnapshot()
+	if acq, rel := scratchAfter.Acquires-scratchBefore.Acquires, scratchAfter.Releases-scratchBefore.Releases; acq != rel {
+		t.Fatalf("render scratch leak across storm: %d acquired, %d released", acq, rel)
 	}
 
 	if fails := reg.metrics.panics.Value(); fails != 0 {
@@ -327,15 +325,13 @@ func TestStressExtractMixedCache(t *testing.T) {
 	t.Logf("mixed storm of %d: 200=%d 429=%d 499/503=%d client-err=%d cache=%+v",
 		n, ok200.Load(), shed.Load(), canceled.Load(), clientErr.Load(), s)
 
-	if dom.ArenasEnabled() {
-		arenaAfter := dom.ArenaStatsSnapshot()
-		if acq, rel := arenaAfter.Acquires-arenaBefore.Acquires, arenaAfter.Releases-arenaBefore.Releases; acq != rel {
-			t.Fatalf("arena leak across mixed storm: %d acquired, %d released", acq, rel)
-		}
-		scratchAfter := layout.ScratchStatsSnapshot()
-		if acq, rel := scratchAfter.Acquires-scratchBefore.Acquires, scratchAfter.Releases-scratchBefore.Releases; acq != rel {
-			t.Fatalf("render scratch leak across mixed storm: %d acquired, %d released", acq, rel)
-		}
+	arenaAfter := dom.ArenaStatsSnapshot()
+	if acq, rel := arenaAfter.Acquires-arenaBefore.Acquires, arenaAfter.Releases-arenaBefore.Releases; acq != rel {
+		t.Fatalf("arena leak across mixed storm: %d acquired, %d released", acq, rel)
+	}
+	scratchAfter := layout.ScratchStatsSnapshot()
+	if acq, rel := scratchAfter.Acquires-scratchBefore.Acquires, scratchAfter.Releases-scratchBefore.Releases; acq != rel {
+		t.Fatalf("render scratch leak across mixed storm: %d acquired, %d released", acq, rel)
 	}
 	if fails := reg.metrics.panics.Value(); fails != 0 {
 		t.Fatalf("panics_total = %d during mixed storm, want 0", fails)

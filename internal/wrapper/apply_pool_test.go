@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"mse/internal/dom"
 )
 
 // TestApplyPooledEdgeCases runs Apply edge cases twice back to back: the
@@ -14,9 +12,6 @@ import (
 // any state leaking across Apply calls (a stale query-term set, a dirty
 // output buffer) shows up as a behavioural diff.
 func TestApplyPooledEdgeCases(t *testing.T) {
-	if !dom.ArenasEnabled() {
-		t.Skip("pooled scratch path disabled")
-	}
 	w, _ := buildTestWrapper(t)
 
 	// Warm the pool so every case below runs on a reused scratch at least

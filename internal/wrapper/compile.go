@@ -159,22 +159,6 @@ func attrSetEqual(lineAttrs, target []layout.TextAttr) bool {
 	return true
 }
 
-// acquireApplyScratch returns a per-application scratch, pooled when
-// arenas are enabled; the second result tells the caller to return it to
-// applyScratchPool.
-func acquireApplyScratch() (*applyScratch, bool) {
-	if dom.ArenasEnabled() {
-		sc := applyScratchPool.Get().(*applyScratch)
-		applyScratchStats.acquires.Add(1)
-		if sc.used {
-			applyScratchStats.reuses.Add(1)
-		}
-		sc.used = true
-		return sc, true
-	}
-	return new(applyScratch), false
-}
-
 // CompiledWrapper is the compiled form of a SectionWrapper.  It holds a
 // reference to — never a mutated copy of — the source wrapper, so the
 // wrapper's JSON form is unchanged by compilation.
@@ -207,10 +191,8 @@ func (cw *CompiledWrapper) Source() *SectionWrapper { return cw.w }
 // match the interpreted path.
 func (cw *CompiledWrapper) Apply(p *layout.Page, cands []*dom.Node, query []string, opt Options) *ExtractedSection {
 	compiledHits.Add(1)
-	sc, pooled := acquireApplyScratch()
-	if pooled {
-		defer applyScratchPool.Put(sc)
-	}
+	sc := acquireApplyScratch()
+	defer applyScratchPool.Put(sc)
 	sc.cleaner.Reset(query)
 
 	const maxCandidates = 24
@@ -372,10 +354,8 @@ func (cf *CompiledFamily) Source() *Family { return cf.f }
 // matches in document order, as Doc.Walk would produce them.
 func (cf *CompiledFamily) ApplyCands(p *layout.Page, cands []*dom.Node, opt Options) []*ExtractedSection {
 	compiledHits.Add(1)
-	sc, pooled := acquireApplyScratch()
-	if pooled {
-		defer applyScratchPool.Put(sc)
-	}
+	sc := acquireApplyScratch()
+	defer applyScratchPool.Put(sc)
 	switch cf.f.Type {
 	case Type1:
 		if len(cands) == 0 {
