@@ -297,7 +297,7 @@ func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled b
 			page = layout.RenderPooledCancel(doc, opt.cancel)
 			leases[i].page = page
 		} else {
-			page = layout.RenderCancel(htmlparse.Parse(sp.HTML), opt.cancel) // step 1
+			page = layout.Render(htmlparse.Parse(sp.HTML)) // step 1
 		}
 		renderSp.AddSince(t0)
 		t0 = mreSp.Begin()
@@ -432,13 +432,12 @@ func (l *PageLease) Release() {
 
 // ExtractLeasedObs is the extraction entry point of the package; Extract
 // is its convenience form.  One pruning DFS locates every wrapper's
-// candidate subtrees and marks them on the DOM, the render materializes
-// full lines only where extraction can read them (skeletons elsewhere,
-// early stop after the last candidate region), and the compiled wrappers
-// consume the pre-located candidates instead of re-walking the tree.  The
-// DOM comes from a pooled parse arena and the page from a pooled render
-// scratch.  The interpreted SectionWrapper.Apply / Family.Apply survive
-// only as the test reference this path is differential-tested against.
+// candidate subtrees, the page is rendered in full (without the tag paths
+// only wrapper induction reads), and the compiled wrappers consume the
+// pre-located candidates instead of re-walking the tree.  The DOM comes
+// from a pooled parse arena and the page from a pooled render scratch.
+// The interpreted SectionWrapper.Apply / Family.Apply survive only as the
+// test reference this path is differential-tested against.
 //
 // Per-stage spans (render, prune, wrapper_build, families) and the
 // sections/records counters are recorded under the caller-supplied root;
@@ -456,7 +455,7 @@ func (ew *EngineWrapper) ExtractLeasedObs(ctx context.Context, html string, quer
 	tok := cancel.FromContext(ctx)
 	// The lease exists before any pooled acquisition so that the deferred
 	// release below covers every partial state: arena acquired but render
-	// panicked (page still nil — RenderPooledPruned recycles its own
+	// panicked (page still nil — RenderPooledNoPaths recycles its own
 	// scratch on the way out), or both acquired but Apply panicked.
 	lease = &PageLease{}
 	defer func() {
@@ -487,10 +486,9 @@ func (ew *EngineWrapper) ExtractLeasedObs(ctx context.Context, html string, quer
 	defer res.Release()
 
 	t0 = renderSp.Begin()
-	page, info := layout.RenderPooledPruned(doc, tok, res.Outer())
+	page := layout.RenderPooledNoPaths(doc, tok)
 	lease.page = page
 	renderSp.AddSince(t0)
-	prune.AddRendered(info.FullLines, info.SkeletonLines)
 
 	var all []*Section
 	wrapSp := root.Child(obs.StepWrapper)

@@ -27,11 +27,15 @@ func canceledErr(ctx context.Context) error {
 }
 
 // withCancel returns a copy of opt with the token installed at every
-// pipeline checkpoint site: the page renders of steps 1, the cluster score
+// pipeline checkpoint site: the page renders of step 1, the candidate
+// section distances and scores of steps 2, 4 and 6, the cluster score
 // matrix of step 7 (which reaches the tree-edit-distance DP), and wrapper
 // application.
 func (o Options) withCancel(tok *cancel.Token) Options {
 	o.cancel = tok
+	o.MRE.Cancel = tok
+	o.Refine.Cancel = tok
+	o.Granularity.Cancel = tok
 	o.Cluster.Cancel = tok
 	o.Wrapper.Cancel = tok
 	return o
@@ -51,8 +55,9 @@ func recoverCanceled(ctx context.Context, err *error) {
 }
 
 // BuildWrapperCtx is BuildWrapper honouring ctx: the pipeline polls the
-// context at its long-loop checkpoints (render walk, tree-edit-distance
-// DP, cluster score matrix) and aborts with an error satisfying
+// context at its long-loop checkpoints (render walk, candidate section
+// distances and scores, tree-edit-distance DP, cluster score matrix) and
+// aborts with an error satisfying
 // errors.Is(err, ErrCanceled) once ctx is done.  All pooled memory leased
 // during the aborted run is returned to the pools.  With a
 // non-cancellable ctx this is exactly BuildWrapper.

@@ -13,7 +13,7 @@ import (
 )
 
 // referenceExtract is the interpreted extraction the compiled path is
-// tested against: a full, unpruned render of the page, the interpreted
+// tested against: a render of the page with tag paths, the interpreted
 // SectionWrapper.Apply / Family.Apply of every wrapper and family (each
 // locating its own candidates with a fresh DOM walk), then the same
 // finishSections tail as ExtractLeasedObs.
@@ -43,12 +43,12 @@ func truncate(b []byte) string {
 // TestDifferentialCompiledWrappers is the soundness check for the compiled
 // extraction path (wrapper compilation + query-aware DOM pruning): across
 // the full paper-scale synthetic testbed — 119 engines, 38 multi-section —
-// every extraction through Extract (prune pass, pruned render with
-// skeleton lines and early stop, interned-signature partitioning,
-// precompiled boundary markers) must be byte-identical to referenceExtract.
-// Drifted variants of every engine run too, so the fallback machinery
-// (signature descend, tag-level classification, cohesion mining on
-// skeleton-free ranges) is differential-tested, not just the happy path.
+// every extraction through Extract (prune pass, path-less pooled render,
+// interned-signature partitioning, precompiled boundary markers) must be
+// byte-identical to referenceExtract.  Drifted variants of every engine
+// run too, so the fallback machinery (signature descend, tag-level
+// classification, cohesion mining) is differential-tested, not just the
+// happy path.
 // Compilation must also leave the wrapper's serialized form untouched.
 func TestDifferentialCompiledWrappers(t *testing.T) {
 	bed := synth.GenerateTestbed(synth.DefaultConfig())

@@ -154,7 +154,6 @@ func resetNodes(slab []Node) {
 		n.LastChild = nil
 		n.PrevSibling = nil
 		n.NextSibling = nil
-		n.Mark = 0
 		n.SpanStart = 0
 		n.SpanEnd = 0
 		n.fp.Store(nil)

@@ -8,7 +8,7 @@ import (
 // TestArenaReleaseZeroesNodes pins Release's contract: every node and
 // attribute handed out since the arena was acquired reads as zero
 // afterwards, the fingerprint cache included, so a pooled arena never
-// carries one page's attributes, links, marks or spans into the next
+// carries one page's attributes, links or spans into the next
 // page's tree.  Node's fields are walked by reflection, so a field added
 // to Node but forgotten in resetNodes fails here as well.
 func TestArenaReleaseZeroesNodes(t *testing.T) {
@@ -21,7 +21,7 @@ func TestArenaReleaseZeroesNodes(t *testing.T) {
 		n.Attrs[0] = Attr{Key: "k", Val: "v"}
 		n.Fingerprint()
 		n.Parent, n.FirstChild, n.LastChild, n.PrevSibling, n.NextSibling = n, n, n, n, n
-		n.Mark, n.SpanStart, n.SpanEnd = MarkCandidate, 1, 2
+		n.SpanStart, n.SpanEnd = 1, 2
 		nodes[i] = n
 	}
 	attrs := nodes[0].Attrs

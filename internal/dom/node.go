@@ -72,33 +72,20 @@ type Node struct {
 	PrevSibling *Node
 	NextSibling *Node
 
-	// Mark is scratch space for single-owner tree passes.  The pre-render
-	// pruning pass (internal/prune) sets MarkCandidate on every node a
-	// compiled wrapper could match so the renderer knows which subtrees
-	// need full line content.  Marks are only meaningful within one
-	// extraction: arenas clear them on Release, and heap-backed trees are
-	// parsed fresh per call.
-	Mark uint8
-
 	// SpanStart/SpanEnd are the node-resident line-span index maintained by
 	// internal/layout during rendering: the half-open content-line range
 	// [SpanStart, SpanEnd) this subtree renders into, with SpanEnd == 0
 	// meaning "renders nothing".  Storing the span on the node instead of a
 	// map[*Node][2]int keeps Page.Span and the per-leaf span merge on the
-	// extraction hot path allocation- and hash-free.  Like Mark, the fields
-	// are only meaningful for the tree's most recent render: arenas clear
-	// them on Release, and heap-backed trees are parsed fresh per call.
+	// extraction hot path allocation- and hash-free.  The fields are only
+	// meaningful for the tree's most recent render: arenas clear them on
+	// Release, and heap-backed trees are parsed fresh per call.
 	SpanStart, SpanEnd int32
 
 	// fp caches the structural fingerprint of the subtree rooted here; see
 	// fingerprint.go.  Atomic so concurrent lazy computation is race-free.
 	fp atomic.Pointer[Fingerprint]
 }
-
-// MarkCandidate flags a node located as a wrapper-target candidate by the
-// pruning pass; the renderer emits full lines for marked subtrees and
-// skeleton lines elsewhere.
-const MarkCandidate uint8 = 1
 
 // Label returns the label used when comparing nodes structurally: the tag
 // name for elements and the node-type name otherwise.  Text content is

@@ -15,6 +15,7 @@
 package granularity
 
 import (
+	"mse/internal/cancel"
 	"mse/internal/layout"
 	"mse/internal/mining"
 	"mse/internal/sect"
@@ -33,6 +34,11 @@ type Options struct {
 	// MaxMerge bounds the k of k-consecutive-record merge candidates when
 	// looking for split records.
 	MaxMerge int
+	// Cancel, when non-nil, is polled before each section and each
+	// candidate partition is scored — the bulk of granularity resolution's
+	// time on pages with long sections.  core.BuildWrapperCtx installs it;
+	// it never needs to be set by hand.
+	Cancel *cancel.Token
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -52,6 +58,7 @@ func DefaultOptions() Options {
 func Resolve(page *layout.Page, sections []*sect.Section, opt Options) []*sect.Section {
 	var out []*sect.Section
 	for _, s := range sections {
+		opt.Cancel.Check()
 		out = append(out, resolveOversized(page, s, opt)...)
 	}
 	for _, s := range out {
@@ -161,6 +168,7 @@ func resolveSplitWithinSection(s *sect.Section, opt Options) {
 		return
 	}
 	best := s.Records
+	opt.Cancel.Check()
 	bestScore := mining.PartitionScore(s.Page, best, s.Start, s.End, opt.Mining)
 	maxK := opt.MaxMerge
 	if maxK > n {
@@ -183,6 +191,7 @@ func resolveSplitWithinSection(s *sect.Section, opt Options) {
 		if !ok {
 			continue
 		}
+		opt.Cancel.Check()
 		if sc := mining.PartitionScore(s.Page, merged, s.Start, s.End, opt.Mining); sc > bestScore {
 			best, bestScore = merged, sc
 		}

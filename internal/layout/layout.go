@@ -242,60 +242,32 @@ func (p *Page) SectionRoot(start, end int) *dom.Node {
 // allocations are batched through a fresh scratch that is reclaimed by the
 // garbage collector along with the page.
 func Render(doc *dom.Node) *Page {
-	p, _ := renderWith(doc, new(renderScratch), false, nil, renderModeFull, 0)
-	return p
+	return renderWith(doc, new(renderScratch), false, nil, true)
 }
 
-// RenderCancel is Render polling a cancellation token every checkpointStride
-// nodes of the DOM walk, so rendering a pathological page aborts promptly
-// when the caller's context is canceled (the walk panics with
-// cancel.Signal; the boundary that created the token recovers it).
-func RenderCancel(doc *dom.Node, tok *cancel.Token) *Page {
-	p, _ := renderWith(doc, new(renderScratch), false, tok, renderModeFull, 0)
-	return p
-}
-
-// RenderPooledCancel is RenderCancel with the scratch drawn from a
-// process-wide pool; the caller must call Page.Release once it no longer
-// references the page or anything reachable from it.  When the walk
-// unwinds — through cancellation or any other panic — the pooled scratch
-// is recycled before the panic continues, so an aborted render can never
-// leak a scratch out of the pool.
+// RenderPooledCancel is Render with the scratch drawn from a process-wide
+// pool, polling a cancellation token every checkpointStride nodes of the
+// DOM walk so rendering a pathological page aborts promptly when the
+// caller's context is canceled (the walk panics with cancel.Signal; the
+// boundary that created the token recovers it).  The caller must call
+// Page.Release once it no longer references the page or anything
+// reachable from it.  When the walk unwinds — through cancellation or any
+// other panic — the pooled scratch is recycled before the panic
+// continues, so an aborted render can never leak a scratch out of the
+// pool.
 func RenderPooledCancel(doc *dom.Node, tok *cancel.Token) *Page {
-	p, _ := renderWith(doc, acquireScratch(), true, tok, renderModeFull, 0)
-	return p
+	return renderWith(doc, acquireScratch(), true, tok, true)
 }
 
-// PruneInfo reports what a pruned render did: how many content lines were
-// materialized in full (inside or directly above marked candidate
-// regions) and how many were emitted as skeletons (exact index, x and
-// type, empty content).
-type PruneInfo struct {
-	FullLines     int
-	SkeletonLines int
+// RenderPooledNoPaths is RenderPooledCancel without the Path and CPath of
+// each line.  Only wrapper induction reads tag paths; wrapper application
+// locates its subtrees on the DOM, so the extraction render skips
+// building them.
+func RenderPooledNoPaths(doc *dom.Node, tok *cancel.Token) *Page {
+	return renderWith(doc, acquireScratch(), true, tok, false)
 }
 
-// RenderPooledPruned renders a page whose DOM has been marked by a
-// prune.Run pass: content lines overlapping a marked candidate subtree
-// (plus the line directly above each region, which wrapper application
-// reads as the section heading) carry their full text, attributes and
-// links, all other lines are skeletons with exact index, x coordinate and
-// type code, and the walk stops once the given number of outermost marked
-// regions has closed — lines past the last candidate region are never
-// read by extraction.  outer <= 0 with no marks yields an empty line
-// list.  Cancellation and pooling behave exactly as RenderPooledCancel.
-func RenderPooledPruned(doc *dom.Node, tok *cancel.Token, outer int) (*Page, PruneInfo) {
-	return renderWith(doc, acquireScratch(), true, tok, renderModePruned, outer)
-}
-
-type renderMode int
-
-const (
-	renderModeFull renderMode = iota
-	renderModePruned
-)
-
-func renderWith(doc *dom.Node, sc *renderScratch, pooled bool, tok *cancel.Token, mode renderMode, outer int) (*Page, PruneInfo) {
+func renderWith(doc *dom.Node, sc *renderScratch, pooled bool, tok *cancel.Token, paths bool) *Page {
 	sc.ensure(doc.Size())
 	page := &Page{
 		Doc:     doc,
@@ -322,16 +294,11 @@ func renderWith(doc *dom.Node, sc *renderScratch, pooled bool, tok *cancel.Token
 	// the recovery defer above is armed, so the pooled scratch cannot leak.
 	tok.Check()
 	r := &renderer{
-		page:    page,
-		sheet:   collectStylesheet(doc),
-		sc:      sc,
-		tok:     tok,
-		pruning: mode == renderModePruned,
-		prevIdx: -1,
-	}
-	if r.pruning {
-		r.outerLeft = outer
-		r.stopping = outer <= 0
+		page:  page,
+		sheet: collectStylesheet(doc),
+		sc:    sc,
+		tok:   tok,
+		paths: paths,
 	}
 	ctx := context{
 		x:     bodyMarginX,
@@ -341,7 +308,7 @@ func renderWith(doc *dom.Node, sc *renderScratch, pooled bool, tok *cancel.Token
 	r.walk(doc, ctx)
 	r.flush(false)
 	// Node spans are built incrementally in addBytes — see mergeSpan.
-	return page, PruneInfo{FullLines: r.fullLines, SkeletonLines: r.skelLines}
+	return page
 }
 
 // Layout constants of the simulated viewport.
@@ -380,10 +347,6 @@ type context struct {
 	attr   TextAttr
 	inLink bool
 	href   string
-	// full is set while the walk is inside a marked candidate subtree of a
-	// pruned render: content added under it makes the current line a full
-	// line.  Always false outside pruned renders.
-	full bool
 }
 
 // renderer accumulates content lines.  The per-line accumulation buffers
@@ -399,6 +362,9 @@ type renderer struct {
 	tok   *cancel.Token
 	steps int
 
+	// paths selects whether lines carry Path and CPath.
+	paths bool
+
 	lineX   int
 	started bool
 	hasText bool // plain (non-link) text present
@@ -408,66 +374,6 @@ type renderer struct {
 	isRule  bool
 
 	lastFlushWasBreak bool
-
-	// Pruned-render state (see RenderPooledPruned).  lineFull marks the
-	// current line as containing content from a marked subtree; prevIdx is
-	// the index of the last emitted skeleton line, retroactively upgraded
-	// to full content when the following line opens a marked region (-1
-	// when the previous line is full, blank, or absent).  outerLeft counts
-	// outermost marked regions still ahead; when it reaches zero the walk
-	// stops at the next line boundary (stopping -> stopped).
-	pruning   bool
-	lineFull  bool
-	prevIdx   int
-	outerLeft int
-	stopping  bool
-	stopped   bool
-	fullLines int
-	skelLines int
-}
-
-// halted reports whether a pruned walk should stop visiting nodes.  The
-// stop is deferred until the current line has flushed (started is false):
-// inline content following the last marked region may legally share — and
-// extend — the final full line, so truncating mid-line would change it.
-func (r *renderer) halted() bool {
-	if r.stopped {
-		return true
-	}
-	if r.stopping && !r.started {
-		r.stopped = true
-		return true
-	}
-	return false
-}
-
-// closeOuter records that an outermost marked region has been fully
-// walked; after the last one the renderer stops at the next line boundary
-// (no extraction read can reach lines past the final candidate region).
-func (r *renderer) closeOuter() {
-	r.outerLeft--
-	if r.outerLeft <= 0 {
-		r.stopping = true
-	}
-}
-
-// upgradePrev retroactively materializes the previously emitted skeleton
-// line from the preserved accumulation buffers, exactly as a full flush
-// would have: wrapper application reads the line directly above a marked
-// region's span as the section heading.
-func (r *renderer) upgradePrev() {
-	if r.prevIdx < 0 {
-		return
-	}
-	sc := r.sc
-	l := &r.page.Lines[r.prevIdx]
-	sc.norm = appendNormalized(sc.norm[:0], sc.prevText)
-	l.Text = string(sc.norm)
-	l.Attrs = sc.attrs.allocCopy(sc.prevAttrBuf)
-	l.Links = sc.links.allocCopy(sc.prevLinkBuf)
-	r.prevIdx = -1
-	r.fullLines++
-	r.skelLines--
 }
 
 // flush emits the accumulated line, if any.  explicitBreak marks flushes
@@ -477,60 +383,31 @@ func (r *renderer) flush(explicitBreak bool) {
 		if explicitBreak {
 			if r.lastFlushWasBreak {
 				// Two explicit breaks in a row: a visible blank line.
-				// Blank lines carry no content in either render mode, so
-				// the previous-line upgrade machinery resets here.
 				r.emit(Line{Text: "", X: r.lineX, Type: BlankLine})
-				r.prevIdx = -1
 			}
 			r.lastFlushWasBreak = true
 		}
 		return
 	}
 	sc := r.sc
-	typ := r.lineType()
-	if r.pruning && !r.lineFull {
-		// Skeleton line: no content from any marked subtree.  Index, x and
-		// type codes are exact (record mining reads them), and the leaves
-		// are recorded so the node-span index matches the full render
-		// everywhere; text, attributes and links stay empty unless the
-		// next line opens a marked region (see upgradePrev).  The
-		// accumulation buffers are preserved by swapping, not reset.
-		line := r.emitEmpty()
-		line.X = r.lineX
-		line.Type = typ
-		line.Leaves = sc.leaves.allocCopy(sc.leafBuf)
-		r.prevIdx = len(r.page.Lines) - 1
-		r.skelLines++
-		sc.text, sc.prevText = sc.prevText[:0], sc.text
-		sc.attrBuf, sc.prevAttrBuf = sc.prevAttrBuf[:0], sc.attrBuf
-		sc.linkBuf, sc.prevLinkBuf = sc.prevLinkBuf[:0], sc.linkBuf
-		sc.leafBuf = sc.leafBuf[:0]
-	} else {
-		sc.norm = appendNormalized(sc.norm[:0], sc.text)
-		line := r.emitEmpty()
-		line.Text = string(sc.norm)
-		line.X = r.lineX
-		line.Type = typ
-		line.Attrs = sc.attrs.allocCopy(sc.attrBuf)
-		line.Leaves = sc.leaves.allocCopy(sc.leafBuf)
-		line.Links = sc.links.allocCopy(sc.linkBuf)
-		if !r.pruning && len(line.Leaves) > 0 {
-			// Extraction never reads Path/CPath (they feed the training
-			// pipeline), so pruned renders skip building them even for
-			// full lines.
-			leaf := line.Leaves[0]
-			line.Path = dom.AppendPath(dom.TagPath(sc.paths.alloc(dom.PathLen(leaf)))[:0], leaf)
-			line.CPath = line.Path.AppendCompact(dom.CompactPath(sc.cpaths.alloc(line.Path.CompactLen()))[:0])
-		}
-		r.prevIdx = -1
-		r.fullLines++
-		sc.text = sc.text[:0]
-		sc.leafBuf = sc.leafBuf[:0]
-		sc.attrBuf = sc.attrBuf[:0]
-		sc.linkBuf = sc.linkBuf[:0]
+	sc.norm = appendNormalized(sc.norm[:0], sc.text)
+	line := r.emitEmpty()
+	line.Text = string(sc.norm)
+	line.X = r.lineX
+	line.Type = r.lineType()
+	line.Attrs = sc.attrs.allocCopy(sc.attrBuf)
+	line.Leaves = sc.leaves.allocCopy(sc.leafBuf)
+	line.Links = sc.links.allocCopy(sc.linkBuf)
+	if r.paths && len(line.Leaves) > 0 {
+		leaf := line.Leaves[0]
+		line.Path = dom.AppendPath(dom.TagPath(sc.paths.alloc(dom.PathLen(leaf)))[:0], leaf)
+		line.CPath = line.Path.AppendCompact(dom.CompactPath(sc.cpaths.alloc(line.Path.CompactLen()))[:0])
 	}
+	sc.text = sc.text[:0]
+	sc.leafBuf = sc.leafBuf[:0]
+	sc.attrBuf = sc.attrBuf[:0]
+	sc.linkBuf = sc.linkBuf[:0]
 	r.started = false
-	r.lineFull = false
 	r.hasText, r.hasLink, r.hasImg, r.hasForm, r.isRule = false, false, false, false, false
 	r.lastFlushWasBreak = explicitBreak
 }
@@ -585,10 +462,6 @@ func (r *renderer) addBytes(text []byte, leaf *dom.Node, ctx context, kind conte
 		sc.leafBuf = append(sc.leafBuf, leaf)
 		r.mergeSpan(leaf)
 	}
-	if ctx.full && !r.lineFull {
-		r.lineFull = true
-		r.upgradePrev()
-	}
 	switch kind {
 	case kindText:
 		if ctx.inLink {
@@ -618,8 +491,8 @@ func (r *renderer) addBytes(text []byte, leaf *dom.Node, ctx context, kind conte
 // SpanEnd; the walk stops at the first ancestor already extended to this
 // line, whose own ancestors were extended by the same earlier walk —
 // amortized O(1) per leaf instead of O(depth).  (Re-rendering the same
-// tree in full mode converges to the identical state: a stale SpanEnd
-// equals the final value, so an early break just leaves it correct.)
+// tree converges to the identical state: a stale SpanEnd equals the final
+// value, so an early break just leaves it correct.)
 func (r *renderer) mergeSpan(leaf *dom.Node) {
 	end := int32(len(r.page.Lines)) + 1
 	for n := leaf; n != nil; n = n.Parent {

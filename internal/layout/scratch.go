@@ -88,15 +88,6 @@ type renderScratch struct {
 	linkBuf  []string
 	cellBuf  []*dom.Node
 	spanBuf  []int
-
-	// Previous-line buffers of the pruned render mode: when a skeleton
-	// line is flushed its accumulation buffers are swapped in here instead
-	// of being reset, so the line can be retroactively upgraded to full
-	// content if the next line turns out to start a marked region (wrapper
-	// application reads the line directly above a section's span).
-	prevText    []byte
-	prevAttrBuf []TextAttr
-	prevLinkBuf []string
 }
 
 // ensure pre-sizes the scratch for a document of the given node count, so
@@ -175,11 +166,6 @@ func (p *Page) Release() {
 	clear(sc.cellBuf)
 	sc.cellBuf = sc.cellBuf[:0]
 	sc.spanBuf = sc.spanBuf[:0]
-	sc.prevText = sc.prevText[:0]
-	clear(sc.prevAttrBuf)
-	sc.prevAttrBuf = sc.prevAttrBuf[:0]
-	clear(sc.prevLinkBuf)
-	sc.prevLinkBuf = sc.prevLinkBuf[:0]
 	p.Lines = nil
 	p.forests = nil
 	scratchStats.releases.Add(1)

@@ -43,26 +43,8 @@ var headingSizes = map[string]int{
 	"h1": 32, "h2": 24, "h3": 19, "h4": 16, "h5": 13, "h6": 11,
 }
 
-// walk traverses the DOM emitting content lines.  In a pruned render it
-// additionally tracks marked candidate subtrees (content under them makes
-// lines full, see RenderPooledPruned) and stops once the last outermost
-// marked region has closed.
+// walk traverses the DOM emitting content lines.
 func (r *renderer) walk(n *dom.Node, ctx context) {
-	if r.pruning {
-		if r.halted() {
-			return
-		}
-		if !ctx.full && n.Mark != 0 {
-			ctx.full = true
-			r.walkInner(n, ctx)
-			r.closeOuter()
-			return
-		}
-	}
-	r.walkInner(n, ctx)
-}
-
-func (r *renderer) walkInner(n *dom.Node, ctx context) {
 	r.checkpoint()
 	switch n.Type {
 	case dom.TextNode:
@@ -189,60 +171,28 @@ func adjustBlockContext(n *dom.Node, ctx context) context {
 // as extra columns).
 func (r *renderer) walkTable(table *dom.Node, ctx context) {
 	for section := table.FirstChild; section != nil; section = section.NextSibling {
-		// Table sections bypass walk(), so the pruned-render mark and halt
-		// handling is replicated here.
-		sctx := ctx
-		closeSection := false
-		if r.pruning {
-			if r.halted() {
-				return
-			}
-			if !sctx.full && section.Mark != 0 {
-				sctx.full = true
-				closeSection = true
-			}
-		}
 		switch section.Tag {
 		case "thead", "tbody", "tfoot":
 			for row := section.FirstChild; row != nil; row = row.NextSibling {
 				if row.Tag == "tr" {
-					r.walkRow(row, sctx)
+					r.walkRow(row, ctx)
 				} else {
-					r.walk(row, sctx)
+					r.walk(row, ctx)
 				}
 			}
 		case "tr":
-			r.walkRow(section, sctx)
+			r.walkRow(section, ctx)
 		case "caption", "colgroup", "col":
 			if section.Tag == "caption" {
-				r.walk(section, sctx)
+				r.walk(section, ctx)
 			}
 		default:
-			r.walk(section, sctx)
-		}
-		if closeSection {
-			r.closeOuter()
+			r.walk(section, ctx)
 		}
 	}
 }
 
 func (r *renderer) walkRow(row *dom.Node, ctx context) {
-	// Rows bypass walk(): replicate its pruned-render mark handling.
-	if r.pruning {
-		if r.halted() {
-			return
-		}
-		if !ctx.full && row.Mark != 0 {
-			ctx.full = true
-			r.walkRowInner(row, ctx)
-			r.closeOuter()
-			return
-		}
-	}
-	r.walkRowInner(row, ctx)
-}
-
-func (r *renderer) walkRowInner(row *dom.Node, ctx context) {
 	// Cells accumulate in the shared scratch buffers.  Nested tables re-enter
 	// walkRow, so this frame only owns sc.cellBuf[base:] and indexes into it
 	// (a nested row may grow — and reallocate — the buffer underneath us).
@@ -282,25 +232,11 @@ func (r *renderer) walkRowInner(row *dom.Node, ctx context) {
 		if cell.Tag == "th" {
 			cctx.attr.Style |= Bold
 		}
-		// Cells bypass walk() too: handle marked cells here.
-		closeCell := false
-		if r.pruning {
-			if r.halted() {
-				break
-			}
-			if !cctx.full && cell.Mark != 0 {
-				cctx.full = true
-				closeCell = true
-			}
-		}
 		r.flush(false)
 		for c := cell.FirstChild; c != nil; c = c.NextSibling {
 			r.walk(c, cctx)
 		}
 		r.flush(false)
-		if closeCell {
-			r.closeOuter()
-		}
 		offset += span
 	}
 	sc.cellBuf = sc.cellBuf[:base]

@@ -22,6 +22,7 @@ package mre
 import (
 	"sort"
 
+	"mse/internal/cancel"
 	"mse/internal/layout"
 	"mse/internal/sect"
 	"mse/internal/visual"
@@ -44,6 +45,11 @@ type Options struct {
 	// MinOverlap is the fractional line overlap above which two tentative
 	// MRs are considered to occupy the same page area.
 	MinOverlap float64
+	// Cancel, when non-nil, is polled before each inter-record distance
+	// and cohesion score of a candidate section — the bulk of MRE's time
+	// on pages with long sections.  core.BuildWrapperCtx installs it; it
+	// never needs to be set by hand.
+	Cancel *cancel.Token
 }
 
 // DefaultOptions returns the tuned defaults (tuned on sample pages only,
@@ -196,6 +202,7 @@ func verify(s *sect.Section, opt Options) bool {
 	if len(s.Records) < opt.MinRecords {
 		return false
 	}
+	opt.Cancel.Check()
 	return visual.InterRecordDistance(s.Records, opt.RecordWeights) <= opt.MaxInterRecord
 }
 
@@ -272,6 +279,7 @@ func score(s *sect.Section, opt Options) float64 {
 	// that signature appearing once per record — earns a bonus, which is
 	// what lets a section of one-line records (zero diversity by
 	// definition) still beat a pairwise-merged alternative.
+	opt.Cancel.Check()
 	coh := visual.SectionCohesion(s.Records, opt.LineWeights, opt.RecordWeights)
 	bonus := 0.0
 	if uniformStarts(s) {

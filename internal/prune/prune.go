@@ -1,24 +1,20 @@
-// Package prune implements the query-aware DOM pruning pass of the
-// compiled extraction path.  Before a leased page is rendered, one DFS
-// over the raw DOM locates every subtree a compiled wrapper or family
-// could match — the union of the engine's "touch sets" — and marks those
-// candidate roots (dom.MarkCandidate) so the renderer can emit full
-// content lines only where extraction can read them, skeleton lines
-// (exact index / x / type, empty content) elsewhere, and stop rendering
-// entirely once the last candidate region has closed.
+// Package prune is the candidate locator of the compiled extraction
+// path.  Before a leased page is rendered, one DFS over the raw DOM
+// locates every subtree a compiled wrapper or family could match — the
+// union of the engine's "touch sets" — and hands each compiled wrapper its
+// candidate list, so wrapper application never re-walks the tree.
 //
 // Soundness: the DFS reproduces dom.LocateCompactAll per target — the
 // same incremental compact-path stack, the same candidate predicate, the
 // same (distance, document order) ranking — so the per-target candidate
 // lists handed to compiled wrappers are element-for-element the lists the
 // interpreted path computes (dom.LocatePattern for Type-2 family
-// patterns); prune_test.go checks this over the synthetic test bed.  Subtrees are skipped only when no target's
-// tag-path prefix still matches (a prefix mismatch can never recover at
-// greater depth, and every candidate needs a full prefix match), so a
-// skipped subtree provably contains no candidate of any target.  Marked
-// regions are a superset of what extraction reads: marking extra
-// candidates only makes the renderer emit more full lines, which are
-// byte-identical to the unpruned ones.
+// patterns); prune_test.go checks this over the synthetic test bed and
+// fuzzes it over arbitrary HTML.  Subtrees are skipped only when no
+// target's tag-path prefix still matches (a prefix mismatch can never
+// recover at greater depth, and every candidate needs a full prefix
+// match), so a skipped subtree provably contains no candidate of any
+// target.
 package prune
 
 import (
@@ -52,10 +48,6 @@ type Stats struct {
 	// NodesSkipped counts subtree roots the matching DFS did not descend
 	// into — regions proven to contain no wrapper target.
 	NodesSkipped uint64 `json:"nodes_skipped"`
-	// LinesRendered counts content lines rendered in full.
-	LinesRendered uint64 `json:"lines_rendered"`
-	// LinesSkeleton counts skeleton lines (index/x/type only).
-	LinesSkeleton uint64 `json:"lines_skeleton"`
 	// Acquires / Reuses / Releases are matcher pool counters.
 	Acquires uint64 `json:"acquires"`
 	Reuses   uint64 `json:"reuses"`
@@ -65,8 +57,6 @@ type Stats struct {
 var stats struct {
 	runs         atomic.Uint64
 	nodesSkipped atomic.Uint64
-	linesFull    atomic.Uint64
-	linesSkel    atomic.Uint64
 	acquires     atomic.Uint64
 	reuses       atomic.Uint64
 	releases     atomic.Uint64
@@ -75,27 +65,17 @@ var stats struct {
 // StatsSnapshot returns the current pruning counters.
 func StatsSnapshot() Stats {
 	return Stats{
-		Runs:          stats.runs.Load(),
-		NodesSkipped:  stats.nodesSkipped.Load(),
-		LinesRendered: stats.linesFull.Load(),
-		LinesSkeleton: stats.linesSkel.Load(),
-		Acquires:      stats.acquires.Load(),
-		Reuses:        stats.reuses.Load(),
-		Releases:      stats.releases.Load(),
+		Runs:         stats.runs.Load(),
+		NodesSkipped: stats.nodesSkipped.Load(),
+		Acquires:     stats.acquires.Load(),
+		Reuses:       stats.reuses.Load(),
+		Releases:     stats.releases.Load(),
 	}
 }
 
-// AddRendered feeds the renderer's per-page full/skeleton line counts into
-// the cumulative counters (called by core after a pruned render).
-func AddRendered(full, skeleton int) {
-	stats.linesFull.Add(uint64(full))
-	stats.linesSkel.Add(uint64(skeleton))
-}
-
-// Result is the outcome of one pruning pass: per-spec candidate lists plus
-// the number of outermost marked regions (the renderer's early-stop
-// budget).  Release returns the pooled matcher state; the candidate
-// slices become invalid afterwards.
+// Result is the outcome of one pruning pass: the per-spec candidate
+// lists.  Release returns the pooled matcher state; the candidate slices
+// become invalid afterwards.
 type Result struct {
 	m *matcher
 }
@@ -103,10 +83,6 @@ type Result struct {
 // Cands returns the candidate nodes of spec i: distance-ranked for
 // tolerant specs, document order for pattern specs.
 func (r *Result) Cands(i int) []*dom.Node { return r.m.cands[i] }
-
-// Outer reports how many outermost marked regions the pass produced; the
-// renderer stops once that many marked regions have closed.
-func (r *Result) Outer() int { return r.m.outer }
 
 // Release recycles the matcher.  Safe to call once; the Result must not
 // be used afterwards.
@@ -147,10 +123,8 @@ type matcher struct {
 	ranked [][]cand // scratch for tolerant specs, indexed like cands
 	stack  []cstep
 
-	docN      int
-	outer     int
-	candAbove int
-	skipped   uint64
+	docN    int
+	skipped uint64
 
 	tok   *cancel.Token
 	steps int
@@ -161,13 +135,10 @@ var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 // checkpointStride mirrors the renderer's cancellation poll cadence.
 const checkpointStride = 256
 
-// Run locates every spec's candidates in one DFS over doc, marks the
-// candidate roots with dom.MarkCandidate and returns the per-spec lists.
-// tok, when non-nil, is polled every few hundred nodes; cancellation
-// unwinds with cancel.Signal after returning the pooled state, exactly
-// like the render walk.  Marks stay on the tree until its arena is
-// released (heap-backed trees are parsed fresh per extraction), so a
-// pruned render must run on the same doc before the lease is released.
+// Run locates every spec's candidates in one DFS over doc and returns the
+// per-spec lists.  tok, when non-nil, is polled every few hundred nodes;
+// cancellation unwinds with cancel.Signal after returning the pooled
+// state, exactly like the render walk.
 func Run(doc *dom.Node, specs []Spec, tok *cancel.Token) *Result {
 	m := matcherPool.Get().(*matcher)
 	stats.acquires.Add(1)
@@ -209,8 +180,6 @@ func (m *matcher) reset(specs []Spec, tok *cancel.Token) {
 	}
 	m.stack = m.stack[:0]
 	m.docN = 0
-	m.outer = 0
-	m.candAbove = 0
 	m.skipped = 0
 	m.tok = tok
 	m.steps = 0
@@ -293,18 +262,6 @@ func (m *matcher) patternMatches(sp *Spec, s int) bool {
 	return true
 }
 
-// mark flags n as a candidate root and counts it as an outermost region
-// when no ancestor on the DFS path is itself marked.
-func (m *matcher) mark(n *dom.Node) {
-	if n.Mark != 0 {
-		return
-	}
-	n.Mark = dom.MarkCandidate
-	if m.candAbove == 0 {
-		m.outer++
-	}
-}
-
 func (m *matcher) visit(n *dom.Node, s int) {
 	m.docN++
 	m.checkpoint()
@@ -329,11 +286,9 @@ func (m *matcher) visit(n *dom.Node, s int) {
 		if sp.Wildcard >= 0 {
 			if m.patternMatches(sp, s) {
 				m.cands[i] = append(m.cands[i], n)
-				m.mark(n)
 			}
 		} else {
 			m.ranked[i] = append(m.ranked[i], cand{n: n, d: m.distanceTo(sp.Path, s), docN: m.docN})
-			m.mark(n)
 		}
 	}
 	if n.FirstChild == nil {
@@ -356,16 +311,9 @@ func (m *matcher) visit(n *dom.Node, s int) {
 	}
 	if descend {
 		cs := 0
-		marked := n.Mark != 0
-		if marked {
-			m.candAbove++
-		}
 		for c := n.FirstChild; c != nil; c = c.NextSibling {
 			m.visit(c, cs)
 			cs++
-		}
-		if marked {
-			m.candAbove--
 		}
 	} else {
 		for c := n.FirstChild; c != nil; c = c.NextSibling {

@@ -50,8 +50,7 @@ func targetsOf(ew *core.EngineWrapper) []target {
 // compiled extraction path: over the synthetic test bed, fresh and drifted
 // pages, one prune.Run over all of an engine's specs must hand each spec
 // exactly the candidate list — same nodes, same order — that the
-// interpreted path locates for it with its own full DOM walk, and must
-// mark every candidate for the pruned render.
+// interpreted path locates for it with its own full DOM walk.
 func TestRunMatchesInterpretedLocate(t *testing.T) {
 	bed := synth.GenerateTestbed(synth.DefaultConfig())
 	if testing.Short() {
@@ -91,11 +90,6 @@ func TestRunMatchesInterpretedLocate(t *testing.T) {
 					if !sameNodes(got, want[i]) {
 						t.Errorf("engine %d %s page %d %s %d: prune found %d candidates, interpreted locate %d (or order differs)",
 							ei, page.name, q, tg.what, i, len(got), len(want[i]))
-					}
-					for _, n := range got {
-						if n.Mark == 0 {
-							t.Errorf("engine %d %s page %d %s %d: candidate not marked", ei, page.name, q, tg.what, i)
-						}
 					}
 				}
 				res.Release()

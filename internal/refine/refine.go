@@ -27,6 +27,7 @@ package refine
 import (
 	"sort"
 
+	"mse/internal/cancel"
 	"mse/internal/layout"
 	"mse/internal/mining"
 	"mse/internal/sect"
@@ -49,6 +50,11 @@ type Options struct {
 	// Mining parameterizes the record mining used when unclaimed DS
 	// content is attached to a section.
 	Mining mining.Options
+	// Cancel, when non-nil, is polled before each inter-record distance
+	// threshold — the bulk of refinement's time on pages with long
+	// sections.  core.BuildWrapperCtx installs it; it never needs to be
+	// set by hand.
+	Cancel *cancel.Token
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -180,6 +186,7 @@ func gapLooksLikeHeading(page *layout.Page, d1, d2 *sect.Section) bool {
 }
 
 func threshold(ol []visual.Block, opt Options) float64 {
+	opt.Cancel.Check()
 	dinr := visual.InterRecordDistance(ol, opt.RecordWeights)
 	if dinr < opt.MinDinr {
 		dinr = opt.MinDinr

@@ -185,8 +185,7 @@ type poolsJSON struct {
 	ApplyScratch  wrapper.ApplyScratchStats `json:"apply_scratch"`
 
 	// Compiled-extraction fast path: wrapper lowering hits and the
-	// DOM-pruning pass (candidate location, skipped subtrees, full vs
-	// skeleton line counts).
+	// candidate-location pass (runs, skipped subtrees, matcher pool).
 	Compiled wrapper.CompiledStats `json:"compiled"`
 	Prune    prune.Stats           `json:"prune"`
 }
