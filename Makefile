@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt msebench-check race drift relearn smoke scenario check stress bench benchcmp benchgate clean
+.PHONY: all build test vet fmt msebench-check race drift relearn smoke scenario check stress mutants bench benchcmp benchgate clean
 
 all: build
 
@@ -83,6 +83,14 @@ check: build vet fmt test msebench-check race drift relearn smoke scenario
 # exercised at once, and the test fails on any leaked arena or scratch.
 stress:
 	MSE_STRESS_N=300 $(GO) test -race -count=1 -v -run TestStressExtract ./internal/serve
+
+# mutants applies each hand-written mutation of wrapper application
+# (internal/wrapper/compile.go) listed in scripts/mutants.sh to a copy of
+# the module and runs the wrapper, core and serve tests against it.  It
+# fails when a mutation survives or its line no longer occurs in the file.
+# About a minute and a half; a CI step of its own, not part of check.
+mutants:
+	bash scripts/mutants.sh
 
 # bench regenerates the paper-table benchmarks with allocation stats and
 # records the raw runs in a dated BENCH_<date>.json for before/after

@@ -138,9 +138,9 @@ func (ew *EngineWrapper) Compile() {
 			pat := append(append(dom.CompactPath(nil), f.Pref...), f.SPref...)
 			ce.specs = append(ce.specs, prune.Spec{Path: pat, Wildcard: len(f.Pref)})
 		default:
-			// Unknown family type (corrupt JSON): Family.Apply would return
-			// nil, so give it a spec no document node can match to keep the
-			// index alignment without producing candidates.
+			// Unknown family type (corrupt JSON): ApplyCands returns nil
+			// for it, so give it a spec no document node can match to keep
+			// the index alignment without producing candidates.
 			ce.specs = append(ce.specs, prune.Spec{Path: dom.CompactPath{{Tag: "\x00none"}}, Wildcard: -1})
 		}
 	}
@@ -436,8 +436,7 @@ func (l *PageLease) Release() {
 // only wrapper induction reads), and the compiled wrappers consume the
 // pre-located candidates instead of re-walking the tree.  The DOM comes
 // from a pooled parse arena and the page from a pooled render scratch.
-// The interpreted SectionWrapper.Apply / Family.Apply survive only as the
-// test reference this path is differential-tested against.
+// The golden digests of internal/serve (TestExtractDigests) pin its output.
 //
 // Per-stage spans (render, prune, wrapper_build, families) and the
 // sections/records counters are recorded under the caller-supplied root;
@@ -508,9 +507,7 @@ func (ew *EngineWrapper) ExtractLeasedObs(ctx context.Context, html string, quer
 	return finishSections(all, root), lease, nil
 }
 
-// finishSections orders and deduplicates the raw per-wrapper extractions —
-// the shared tail of ExtractLeasedObs and of the interpreted test
-// reference.
+// finishSections orders and deduplicates the raw per-wrapper extractions.
 func finishSections(all []*Section, span *obs.Span) []*Section {
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].Start != all[j].Start {

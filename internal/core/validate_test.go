@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,5 +84,84 @@ func TestValidateEmptyPageSet(t *testing.T) {
 	// With zero pages every wrapper trivially fired 0 >= 0.5*0 times.
 	if !report.Healthy(0.5) {
 		t.Fatalf("empty validation should be vacuously healthy")
+	}
+}
+
+// TestValidateMatchesReference pins Validate to a report aggregated
+// independently from Extract, on fresh and drifted pages of single- and
+// multi-section engines.  It also requires each section wrapper to fire on
+// its own section: a page's wrapper sections carry distinct Orders, each
+// the Order of one of the engine's wrappers, and on fresh pages every
+// wrapper of a multi-section engine fires.  A section stamped with the wrong wrapper's Order would
+// otherwise pass the aggregate comparison, since Validate and the
+// aggregate read the same Order field.
+func TestValidateMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		e     *synth.Engine
+		multi bool
+	}{
+		{synth.NewEngine(95, 0, true), true},
+		{synth.NewEngine(95, 1, true), true},
+		{synth.NewEngine(95, 2, false), false},
+	} {
+		e := tc.e
+		ew := buildFor(t, e)
+		for _, variant := range []struct {
+			name string
+			e    *synth.Engine
+		}{{"fresh", e}, {"drifted", e.Drifted()}} {
+			var pages []*SamplePage
+			for q := 5; q < 10; q++ {
+				gp := variant.e.Page(q)
+				pages = append(pages, &SamplePage{HTML: gp.HTML, Query: gp.Query})
+			}
+			want := &ValidationReport{Pages: len(pages)}
+			for _, w := range ew.Wrappers {
+				want.Wrappers = append(want.Wrappers, WrapperHealth{Order: w.Order})
+			}
+			for pi, p := range pages {
+				seen := map[int]bool{}
+				for _, s := range ew.Extract(p.HTML, p.Query) {
+					if s.FromFamily {
+						want.FamilySections++
+						continue
+					}
+					if seen[s.Order] {
+						t.Errorf("engine %s %s page %d: two sections carry wrapper order %d",
+							e.Schema.SiteName, variant.name, pi+5, s.Order)
+					}
+					seen[s.Order] = true
+					known := false
+					for i := range want.Wrappers {
+						if h := &want.Wrappers[i]; h.Order == s.Order {
+							known = true
+							h.Fired++
+							h.Records += len(s.Records)
+							if len(s.Records) == 0 {
+								h.EmptySections++
+							}
+						}
+					}
+					if !known {
+						t.Errorf("engine %s %s page %d: section carries order %d, which no wrapper has",
+							e.Schema.SiteName, variant.name, pi+5, s.Order)
+					}
+				}
+			}
+			got := ew.Validate(pages)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("engine %s %s: Validate report differs from reference\nwant:\n%sgot:\n%s",
+					e.Schema.SiteName, variant.name, want, got)
+			}
+			if variant.name != "fresh" || !tc.multi {
+				continue
+			}
+			for _, h := range got.Wrappers {
+				if h.Fired == 0 {
+					t.Errorf("engine %s: wrapper %d never fired on fresh pages\n%s",
+						e.Schema.SiteName, h.Order, got)
+				}
+			}
+		}
 	}
 }

@@ -339,19 +339,6 @@ func Locate(root *Node, p TagPath) *Node {
 	return n
 }
 
-// LocateCompact finds the descendant of root whose compact tag path is
-// compatible with target and has the smallest PathDistance to it.  It
-// returns nil when no node with a compatible path exists.  This tolerant
-// lookup is what makes stored wrappers robust against result pages whose
-// repeated-sibling counts differ from the sample pages.
-func LocateCompact(root *Node, target CompactPath) *Node {
-	cands := LocateCompactAll(root, target)
-	if len(cands) == 0 {
-		return nil
-	}
-	return cands[0]
-}
-
 // LocatePattern returns, in document order, every node under root
 // (inclusive) whose compact tag path equals pattern step for step: tags at
 // every index, sibling counts at every index except wildcard — the free
@@ -380,7 +367,9 @@ func LocatePattern(root *Node, pattern CompactPath, wildcard int) []*Node {
 
 // LocateCompactAll returns every descendant of root whose compact tag path
 // is compatible with target, ordered by increasing PathDistance (ties in
-// document order).  Callers that can validate candidates by other evidence
+// document order).  This tolerant lookup is what makes stored wrappers
+// robust against result pages whose repeated-sibling counts differ from the
+// sample pages.  Callers that can validate candidates by other evidence
 // (boundary markers) should walk the list and take the first that
 // validates.
 //

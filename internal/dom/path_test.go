@@ -161,21 +161,21 @@ func TestLocateCompactTolerant(t *testing.T) {
 	m["table"].AppendChild(tr3)
 
 	target := PathOf(m["b"]).Compact()
-	got := LocateCompact(doc, target)
+	got := LocateCompactAll(doc, target)[0]
 	if got != m["b"] {
-		t.Fatalf("LocateCompact should find the exact node when present")
+		t.Fatalf("LocateCompactAll should rank the exact node first when present")
 	}
 
 	// Remove row 2; the best compatible match for b's path is now a or c's
 	// text node (nearest sibling count wins: tr index 1 gone, tr index 2's
 	// text has |2-1|=1, tr index 0's has |0-1|=1; ties keep the first).
 	m["table"].RemoveChild(m["tr2"])
-	got = LocateCompact(doc, target)
-	if got == nil {
-		t.Fatalf("LocateCompact should fall back to a compatible node")
+	cands := LocateCompactAll(doc, target)
+	if len(cands) == 0 {
+		t.Fatalf("LocateCompactAll should fall back to a compatible node")
 	}
-	if got != m["a"] && got != txt {
-		t.Fatalf("LocateCompact fallback picked %v", got)
+	if got = cands[0]; got != m["a"] && got != txt {
+		t.Fatalf("LocateCompactAll fallback ranked %v first", got)
 	}
 }
 

@@ -1,16 +1,16 @@
-// Package prune is the candidate locator of the compiled extraction
-// path.  Before a leased page is rendered, one DFS over the raw DOM
-// locates every subtree a compiled wrapper or family could match — the
-// union of the engine's "touch sets" — and hands each compiled wrapper its
-// candidate list, so wrapper application never re-walks the tree.
+// Package prune is the candidate locator of extraction.  Before a leased
+// page is rendered, one DFS over the raw DOM locates every subtree a
+// compiled wrapper or family could match — the union of the engine's
+// "touch sets" — and hands each compiled wrapper its candidate list, so
+// wrapper application never re-walks the tree.
 //
 // Soundness: the DFS reproduces dom.LocateCompactAll per target — the
 // same incremental compact-path stack, the same candidate predicate, the
 // same (distance, document order) ranking — so the per-target candidate
-// lists handed to compiled wrappers are element-for-element the lists the
-// interpreted path computes (dom.LocatePattern for Type-2 family
-// patterns); prune_test.go checks this over the synthetic test bed and
-// fuzzes it over arbitrary HTML.  Subtrees are skipped only when no
+// lists handed to compiled wrappers are element-for-element the lists
+// dom.LocateCompactAll computes with its own full walk (dom.LocatePattern
+// for Type-2 family patterns); prune_test.go checks this over the
+// synthetic test bed and fuzzes it over arbitrary HTML.  Subtrees are skipped only when no
 // target's tag-path prefix still matches (a prefix mismatch can never
 // recover at greater depth, and every candidate needs a full prefix
 // match), so a skipped subtree provably contains no candidate of any

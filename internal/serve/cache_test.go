@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -540,6 +541,41 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("non-owning shard loaded %d engines, want 0", n)
+	}
+}
+
+// TestLoadSnapshotAllOrNothing: a snapshot whose third entry is malformed
+// installs none of its entries — the two valid engines before it
+// included — and the error names the entry's index in the file.
+func TestLoadSnapshotAllOrNothing(t *testing.T) {
+	reg, _ := testRegistry(t)
+	before := reg.Status()
+	for _, c := range []struct {
+		name    string
+		third   snapshotEngine
+		wantErr string
+	}{
+		{"malformed wrapper", snapshotEngine{Name: "gamma", Generation: 1, Wrapper: json.RawMessage(`{"wrappers":5}`)}, "snapshot engine 2:"},
+		{"no name", snapshotEngine{Generation: 1, Wrapper: testWrapper.data}, "snapshot engine 2 has no name"},
+	} {
+		doc, err := json.Marshal(snapshotFile{Version: snapshotVersion, Engines: []snapshotEngine{
+			{Name: "alpha", Generation: 4, Wrapper: testWrapper.data},
+			{Name: "demo", Generation: 9, Wrapper: testWrapper.data},
+			c.third,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := reg.LoadSnapshot(bytes.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Fatalf("%s: err = %v, want it to contain %q", c.name, err, c.wantErr)
+		}
+		if n != 0 {
+			t.Fatalf("%s: loaded %d engines, want 0", c.name, n)
+		}
+		if got := reg.Status(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%s: a failed load changed the registry\nbefore: %v\nafter:  %v", c.name, before, got)
+		}
 	}
 }
 

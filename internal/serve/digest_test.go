@@ -73,7 +73,10 @@ func digestBed() []digestEngine {
 // runs the pooled parse/render/apply pipeline; the whole sweep runs twice
 // back to back, and the second pass (on pools the first pass warmed with
 // other pages) must reproduce the first, so stale pooled state cannot
-// hide behind a cold pool.  -short checks a prefix of the bed.
+// hide behind a cold pool.  After the sweeps every registered wrapper must
+// re-marshal to the bytes it was added as: compilation and application
+// leave the wrapper's serialized form untouched.  -short checks a prefix
+// of the bed.
 func TestExtractDigests(t *testing.T) {
 	bed := digestBed()
 	if testing.Short() && !*updateDigests {
@@ -85,6 +88,7 @@ func TestExtractDigests(t *testing.T) {
 
 	var keys []string
 	got := map[string]string{}
+	wrapperJSON := map[string][]byte{}
 	record := func(key string, body []byte) {
 		sum := sha256.Sum256(body)
 		keys = append(keys, key)
@@ -105,6 +109,7 @@ func TestExtractDigests(t *testing.T) {
 			t.Fatalf("%s: marshal wrapper: %v", de.name, err)
 		}
 		record(de.name+"/wrapper", data)
+		wrapperJSON[de.name] = data
 		if err := reg.Add(de.name, data); err != nil {
 			t.Fatalf("%s: %v", de.name, err)
 		}
@@ -129,6 +134,19 @@ func TestExtractDigests(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	for _, de := range bed {
+		e, ok := reg.get(de.name)
+		if !ok {
+			t.Fatalf("%s: not registered", de.name)
+		}
+		data, err := json.Marshal(e.ew)
+		if err != nil {
+			t.Fatalf("%s: re-marshal wrapper: %v", de.name, err)
+		}
+		if !bytes.Equal(data, wrapperJSON[de.name]) {
+			t.Errorf("%s: the wrapper's JSON changed across compilation and extraction", de.name)
 		}
 	}
 	if t.Failed() {

@@ -183,11 +183,9 @@ type poolsJSON struct {
 	ParseArena    dom.ArenaStats            `json:"parse_arena"`
 	RenderScratch layout.ScratchStats       `json:"render_scratch"`
 	ApplyScratch  wrapper.ApplyScratchStats `json:"apply_scratch"`
-
-	// Compiled-extraction fast path: wrapper lowering hits and the
-	// candidate-location pass (runs, skipped subtrees, matcher pool).
-	Compiled wrapper.CompiledStats `json:"compiled"`
-	Prune    prune.Stats           `json:"prune"`
+	// Prune is the candidate-location pass (runs, skipped subtrees,
+	// matcher pool).
+	Prune prune.Stats `json:"prune"`
 }
 
 func poolsSnapshot() *poolsJSON {
@@ -195,7 +193,6 @@ func poolsSnapshot() *poolsJSON {
 		ParseArena:    dom.ArenaStatsSnapshot(),
 		RenderScratch: layout.ScratchStatsSnapshot(),
 		ApplyScratch:  wrapper.ApplyScratchStatsSnapshot(),
-		Compiled:      wrapper.CompiledStatsSnapshot(),
 		Prune:         prune.StatsSnapshot(),
 	}
 }

@@ -211,14 +211,30 @@ func (r *Registry) Add(name string, data []byte) error {
 // addGen is Add with an explicit generation (0 auto-increments); snapshot
 // restore uses it to resume the generation sequence it saved.
 func (r *Registry) addGen(name string, data []byte, gen uint64) error {
+	ew, err := r.decode(name, data)
+	if err != nil {
+		return err
+	}
+	r.install(name, ew, data, gen)
+	return nil
+}
+
+// decode parses and compiles a wrapper blob without touching the registry.
+func (r *Registry) decode(name string, data []byte) (*core.EngineWrapper, error) {
 	var ew core.EngineWrapper
 	if err := json.Unmarshal(data, &ew); err != nil {
-		return fmt.Errorf("serve: wrapper %q: %w", name, err)
+		return nil, fmt.Errorf("serve: wrapper %q: %w", name, err)
 	}
 	ew.SetOptions(r.opts)
 	// Compile eagerly so the first request after a wrapper swap pays no
 	// lowering cost (and signature interning happens off the hot path).
 	ew.Compile()
+	return &ew, nil
+}
+
+// install registers a decoded wrapper under name with the given generation
+// (0 auto-increments).
+func (r *Registry) install(name string, ew *core.EngineWrapper, data []byte, gen uint64) {
 	raw := make([]byte, len(data))
 	copy(raw, data)
 	r.mu.Lock()
@@ -229,7 +245,7 @@ func (r *Registry) addGen(name string, data []byte, gen uint64) error {
 			gen = prev.gen + 1
 		}
 	}
-	r.wrappers[name] = &engineEntry{ew: &ew, raw: raw, gen: gen, swapped: time.Now()}
+	r.wrappers[name] = &engineEntry{ew: ew, raw: raw, gen: gen, swapped: time.Now()}
 	r.mu.Unlock()
 	if prev != nil {
 		// Generation bumped: the engine is serving a different wrapper than
@@ -250,7 +266,6 @@ func (r *Registry) addGen(name string, data []byte, gen uint64) error {
 			r.log.Warn("snapshot persist after swap failed", "engine", name, "error", err)
 		}
 	}
-	return nil
 }
 
 // Names lists the registered engines, sorted.

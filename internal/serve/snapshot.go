@@ -14,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"mse/internal/core"
 )
 
 // snapshotVersion is the format version SaveSnapshot writes and
@@ -112,7 +114,10 @@ func (r *Registry) persistSnapshot() error {
 // LoadSnapshot restores engines from a snapshot written by SaveSnapshot,
 // preserving each engine's generation.  When the registry is sharded,
 // engines owned by other shards are skipped — one fleet-wide snapshot can
-// feed every shard.  Returns the number of engines loaded.
+// feed every shard.  Loading is all-or-nothing: every owned entry is
+// decoded and compiled before any is installed, so a malformed entry
+// leaves the registry unchanged; the error names the entry's index in the
+// snapshot.  Returns the number of engines loaded.
 func (r *Registry) LoadSnapshot(rd io.Reader) (int, error) {
 	var snap snapshotFile
 	dec := json.NewDecoder(rd)
@@ -122,22 +127,30 @@ func (r *Registry) LoadSnapshot(rd io.Reader) (int, error) {
 	if snap.Version != snapshotVersion {
 		return 0, fmt.Errorf("serve: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
-	loaded := 0
-	for _, e := range snap.Engines {
+	type decoded struct {
+		e  snapshotEngine
+		ew *core.EngineWrapper
+	}
+	var load []decoded
+	for i, e := range snap.Engines {
 		if e.Name == "" {
-			return loaded, fmt.Errorf("serve: snapshot engine %d has no name", loaded)
+			return 0, fmt.Errorf("serve: snapshot engine %d has no name", i)
 		}
 		if !r.Owns(e.Name) {
 			continue
 		}
-		gen := e.Generation
+		ew, err := r.decode(e.Name, e.Wrapper)
+		if err != nil {
+			return 0, fmt.Errorf("serve: snapshot engine %d: %w", i, err)
+		}
+		load = append(load, decoded{e, ew})
+	}
+	for _, d := range load {
+		gen := d.e.Generation
 		if gen == 0 {
 			gen = 1
 		}
-		if err := r.addGen(e.Name, e.Wrapper, gen); err != nil {
-			return loaded, err
-		}
-		loaded++
+		r.install(d.e.Name, d.ew, d.e.Wrapper, gen)
 	}
-	return loaded, nil
+	return len(load), nil
 }

@@ -17,12 +17,12 @@ func TestApplyPooledEdgeCases(t *testing.T) {
 	// Warm the pool so every case below runs on a reused scratch at least
 	// once.
 	warm, _ := sectionPage(3, "warm")
-	w.Apply(warm, []string{"q"}, DefaultOptions())
+	applyWrapper(w, warm, []string{"q"})
 
 	t.Run("EmptyPage", func(t *testing.T) {
 		p := render(`<body></body>`)
 		for round := 0; round < 2; round++ {
-			if got := w.Apply(p, []string{"q"}, DefaultOptions()); got != nil {
+			if got := applyWrapper(w, p, []string{"q"}); got != nil {
 				t.Fatalf("round %d: wrapper fired on an empty page: %+v", round, got)
 			}
 		}
@@ -40,7 +40,7 @@ func TestApplyPooledEdgeCases(t *testing.T) {
 		sb.WriteString(`</table><div>Copyright notice.</div></body>`)
 		p := render(sb.String())
 		for round := 0; round < 2; round++ {
-			if got := w.Apply(p, []string{"q"}, DefaultOptions()); got != nil {
+			if got := applyWrapper(w, p, []string{"q"}); got != nil {
 				t.Fatalf("round %d: wrapper fired without its anchor line: %+v", round, got)
 			}
 		}
@@ -59,7 +59,7 @@ func TestApplyPooledEdgeCases(t *testing.T) {
 
 		var first []byte
 		for round := 0; round < 2; round++ {
-			got := w.Apply(p, []string{"q"}, DefaultOptions())
+			got := applyWrapper(w, p, []string{"q"})
 			if got == nil {
 				t.Fatalf("round %d: wrapper did not fire on tail section", round)
 			}
@@ -87,10 +87,10 @@ func TestApplyPooledEdgeCases(t *testing.T) {
 		// flat-layout fallback cannot anchor on it — but the heading is
 		// still found positionally; what matters here is the second Apply
 		// with a disjoint query reproduces the no-query result exactly.
-		ref := w.Apply(p, []string{"q"}, DefaultOptions())
+		ref := applyWrapper(w, p, []string{"q"})
 		refJSON, _ := json.Marshal(ref)
-		w.Apply(p, []string{"results"}, DefaultOptions())
-		got := w.Apply(p, []string{"q"}, DefaultOptions())
+		applyWrapper(w, p, []string{"results"})
+		got := applyWrapper(w, p, []string{"q"})
 		gotJSON, _ := json.Marshal(got)
 		if string(refJSON) != string(gotJSON) {
 			t.Fatalf("query terms leaked across pooled Applies:\nref: %s\ngot: %s", refJSON, gotJSON)

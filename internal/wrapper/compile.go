@@ -1,52 +1,34 @@
 package wrapper
 
-// Wrapper compilation (DESIGN.md §12).  A learned SectionWrapper or Family
-// is an interpretable description: separator signatures are strings,
-// boundary markers are string lists, and application re-derives per-page
-// facts (root signatures, marker comparisons) from scratch on every page.
-// Compile lowers a wrapper once into a specialized matcher:
+// Wrapper application (DESIGN.md §12).  A learned SectionWrapper or Family
+// is an interpretable description: separator signatures are strings and
+// boundary markers are string lists.  Compile lowers a wrapper once into
+// the matcher that applies it to pages:
 //
 //   - separator signatures are interned to dom.SigAtom integers, so
 //     per-block classification is an append into a reused byte buffer, one
 //     allocation-free map probe and a few integer compares — no per-page
 //     string materialization;
-//   - fallback tag lists (the tag-level classification of signatures the
-//     samples never showed) are precomputed instead of being re-derived
-//     from the signature strings per root;
+//   - the tag lists of the unknown-signature fallback (the tag-level
+//     classification of signatures the samples never showed) are derived
+//     once, at compile time;
 //   - boundary-marker texts are wrapped in a markerSet with a length
 //     bitmask prefilter, so the common miss costs one mask test;
 //   - attribute-set comparisons run directly against the wrapper's stored
-//     (sorted, duplicate-free) sets without the per-line sorted copy that
-//     attrSetOf makes.
+//     (sorted, duplicate-free) sets, without sorting a copy of the line's.
 //
-// Compiled application consumes candidate subtrees produced by the prune
-// pass (internal/prune) instead of running its own LocateCompactAll DFS;
-// the candidate lists are element-identical, so compiled extraction is
-// byte-identical to the interpreted path (pinned by differential tests).
+// Application consumes candidate subtrees located by the caller — the
+// prune pass (internal/prune) during extraction — instead of walking the
+// tree itself.
 
 import (
 	"strings"
-	"sync/atomic"
 
 	"mse/internal/dom"
 	"mse/internal/layout"
 	"mse/internal/mining"
 	"mse/internal/visual"
 )
-
-// CompiledStats are cumulative compiled-application counters; exposed on
-// /metrics by the extraction service.
-type CompiledStats struct {
-	// Hits counts wrapper/family applications served by compiled forms.
-	Hits uint64 `json:"hits"`
-}
-
-var compiledHits atomic.Uint64
-
-// CompiledStatsSnapshot returns the current compiled-path counters.
-func CompiledStatsSnapshot() CompiledStats {
-	return CompiledStats{Hits: compiledHits.Load()}
-}
 
 // compiledSep is a Separator lowered to interned atoms plus the
 // precomputed tag lists of the unknown-signature fallback.
@@ -95,35 +77,37 @@ func labelTag(n *dom.Node) string {
 }
 
 // markerSet matches a line's cleaned text against boundary-marker texts.
-// The length bitmask rejects most misses with one AND (bit 63 stands in
-// for all lengths >= 63).
+// The length bitmask rejects most misses with one AND.
 type markerSet struct {
 	texts   []string
 	lenMask uint64
 }
 
+// lenBit is the length-bitmask bit of s: bit len(s), with bit 63 standing
+// in for all lengths >= 63.
+func lenBit(s string) uint64 {
+	if len(s) >= 63 {
+		return 1 << 63
+	}
+	return 1 << len(s)
+}
+
 func newMarkerSet(texts []string) markerSet {
 	m := markerSet{texts: texts}
 	for _, t := range texts {
-		b := uint(len(t))
-		if b > 63 {
-			b = 63
-		}
-		m.lenMask |= 1 << b
+		m.lenMask |= lenBit(t)
 	}
 	return m
 }
 
-// match replicates matchesAny: the empty string never matches.
+// match reports whether s equals one of the marker texts.  The empty
+// string never matches: a line whose cleaned text is empty (all query
+// terms, or no text) carries no marker evidence.
 func (m *markerSet) match(s string) bool {
 	if s == "" {
 		return false
 	}
-	b := uint(len(s))
-	if b > 63 {
-		b = 63
-	}
-	if m.lenMask&(1<<b) == 0 {
+	if m.lenMask&lenBit(s) == 0 {
 		return false
 	}
 	for _, t := range m.texts {
@@ -135,11 +119,9 @@ func (m *markerSet) match(s string) bool {
 }
 
 // attrSetEqual reports whether a line's attribute set equals a stored
-// wrapper attribute set, without the sorted copy attrSetOf makes.  Both
-// sides are duplicate-free (lines dedup at render, wrapper sets come from
-// map keys), so equal length plus membership is set equality — which for
-// duplicate-free sets coincides with the sorted-slice equality of
-// attrsEqual(attrSetOf(lineAttrs), target).
+// wrapper attribute set.  Both sides are duplicate-free (lines dedup at
+// render, wrapper sets come from map keys), so equal length plus
+// membership is set equality; no sorted copy is needed.
 func attrSetEqual(lineAttrs, target []layout.TextAttr) bool {
 	if len(lineAttrs) != len(target) {
 		return false
@@ -181,16 +163,18 @@ func Compile(w *SectionWrapper) *CompiledWrapper {
 	}
 }
 
-// Source returns the wrapper this compiled form was lowered from.
-func (cw *CompiledWrapper) Source() *SectionWrapper { return cw.w }
-
-// Apply is SectionWrapper.Apply with the candidate subtrees supplied by
-// the caller (the prune pass) instead of an internal LocateCompactAll
-// walk.  cands must be ordered by increasing path distance with ties in
-// document order — exactly LocateCompactAll's order — for the result to
-// match the interpreted path.
+// Apply runs the wrapper against a rendered page and returns its section,
+// or nil when the section is absent.  cands are the subtrees whose compact
+// path is compatible with the wrapper's Pref, ordered by increasing path
+// distance with ties in document order (dom.LocateCompactAll's order).
+// query lists the query terms used to retrieve the page (they are removed
+// before boundary-marker texts are compared); it may be nil.
+//
+// Boundary markers — not raw path distance — decide which candidate is
+// the section: the paper's SBMs "precisely bound sections" (§2), and on
+// pages where other sections are hidden the sibling offsets shift while
+// the markers stay.
 func (cw *CompiledWrapper) Apply(p *layout.Page, cands []*dom.Node, query []string, opt Options) *ExtractedSection {
-	compiledHits.Add(1)
 	sc := acquireApplyScratch()
 	defer applyScratchPool.Put(sc)
 	sc.cleaner.Reset(query)
@@ -208,7 +192,8 @@ func (cw *CompiledWrapper) Apply(p *layout.Page, cands []*dom.Node, query []stri
 	return nil
 }
 
-// applyAt mirrors SectionWrapper.applyAt over the compiled matchers.
+// applyAt attempts extraction with t as the section subtree; nil when the
+// candidate fails boundary validation.
 func (cw *CompiledWrapper) applyAt(p *layout.Page, t *dom.Node, sc *applyScratch, opt Options) *ExtractedSection {
 	w := cw.w
 	first, last, ok := p.Span(t)
@@ -217,12 +202,15 @@ func (cw *CompiledWrapper) applyAt(p *layout.Page, t *dom.Node, sc *applyScratch
 	}
 	start, end := first, last+1
 
+	// Heading: the nearest preceding line matching a known LBM text.
 	heading := ""
 	if start > 0 {
 		if txt := sc.cleaner.Clean(&p.Lines[start-1]); cw.lbms.match(txt) {
 			heading = p.Lines[start-1].Text
 		}
 	}
+	// Flat layouts: the subtree contains the boundary lines themselves.
+	// Clip the range to the lines between our LBM and the next boundary.
 	if heading == "" && len(cw.lbms.texts) > 0 {
 		lbm := -1
 		for i := start; i < end && i < len(p.Lines); i++ {
@@ -246,10 +234,12 @@ func (cw *CompiledWrapper) applyAt(p *layout.Page, t *dom.Node, sc *applyScratch
 	if start >= end {
 		return nil
 	}
+	// Boundary-marker validation: when the wrapper learned an LBM, the
+	// candidate subtree must actually sit under that marker.
 	if len(w.LBMs) > 0 && heading == "" {
 		return nil
 	}
-	records := cw.partition(p, start, end, sc, opt)
+	records := cw.sep.partition(p, start, end, sc, opt)
 	return &ExtractedSection{
 		Heading: heading,
 		Order:   w.Order,
@@ -259,22 +249,33 @@ func (cw *CompiledWrapper) applyAt(p *layout.Page, t *dom.Node, sc *applyScratch
 	}
 }
 
-func (cw *CompiledWrapper) partition(p *layout.Page, start, end int, sc *applyScratch, opt Options) []visual.Block {
-	if blocks := partitionBySepCompiled(p, start, end, &cw.sep, sc); blocks != nil {
+// partition splits [start, end) into records with the separator, falling
+// back to cohesion-based mining when the separator does not match this
+// page.
+func (cs *compiledSep) partition(p *layout.Page, start, end int, sc *applyScratch, opt Options) []visual.Block {
+	if blocks := partitionBySepCompiled(p, start, end, cs, sc); blocks != nil {
 		return blocks
 	}
 	return mining.MineRecords(p, start, end, opt.Mining)
 }
 
-// partitionBySepCompiled is partitionBySep over interned atoms: root
-// signatures are appended into the scratch's reused buffer and resolved
-// with one allocation-free table probe each.
+// partitionBySepCompiled applies a separator to a line range; nil when the
+// separator matches nothing there.  Records start at the forest roots
+// whose structural signature is a stored start signature.  When every root
+// carries one (uniform rows without a distinctive first row) the
+// roots-per-record count groups them instead.  Root signatures are
+// appended into the scratch's reused buffer and resolved with one
+// allocation-free table probe each.
 func partitionBySepCompiled(p *layout.Page, start, end int, cs *compiledSep, sc *applyScratch) []visual.Block {
 	roots := mining.ExpandedForest(p, start, end)
 	if len(roots) == 0 {
 		return nil
 	}
 	buf := sc.sigBuf
+	// The separator's signatures live at the record-root level; when the
+	// section range spans container nodes (several sections merged into
+	// one DS, or wrapper-level drift) the exact signatures may only match
+	// one level deeper.  Descend while no root matches exactly.
 	for depth := 0; depth < 3; depth++ {
 		exact := 0
 		for _, r := range roots {
@@ -306,7 +307,10 @@ func partitionBySepCompiled(p *layout.Page, start, end int, cs *compiledSep, sc 
 		atom := dom.LookupSigBytes(buf)
 		isStart := atomIn(cs.startAtoms, atom)
 		if !isStart && !atomIn(cs.interiorAtoms, atom) {
-			// Unknown signature: tag-level fallback, as in partitionBySep.
+			// Unknown signature (a record variant the samples never
+			// showed, e.g. a record without its optional snippet).  Fall
+			// back to the tag level: it starts a record when its tag is a
+			// known start tag that never occurs inside records.
 			tag := labelTag(r)
 			isStart = containsString(cs.startTags, tag) && !containsString(cs.interiorTags, tag)
 		}
@@ -320,10 +324,14 @@ func partitionBySepCompiled(p *layout.Page, start, end int, cs *compiledSep, sc 
 	sc.sigBuf = buf
 	switch {
 	case starts == 0:
-		return nil
+		return nil // separator does not match this page; mine instead
 	case starts < len(roots) || cs.rootsPerRecord <= 1:
+		// Start roots delimit records; interior/unknown roots attach to
+		// the preceding record.
 		return blocksFromStarts(p, start, end, sigStarts)
 	default:
+		// All roots look like starts but training saw multi-root records:
+		// group uniformly.
 		var groupStarts []int
 		for i := 0; i < len(roots); i += cs.rootsPerRecord {
 			if s, _, ok := p.Span(roots[i]); ok {
@@ -345,15 +353,13 @@ func CompileFamily(f *Family) *CompiledFamily {
 	return &CompiledFamily{f: f, sep: compileSep(f.Sep)}
 }
 
-// Source returns the family this compiled form was lowered from.
-func (cf *CompiledFamily) Source() *Family { return cf.f }
-
-// ApplyCands is Family.Apply with candidate subtrees supplied by the
-// caller: for Type 1 the LocateCompact result is cands[0] (best-distance
-// first, so the lists agree); for Type 2 cands must be the pattern
-// matches in document order, as Doc.Walk would produce them.
+// ApplyCands runs the family against a page and returns every member
+// section found — including hidden ones that no sample page exhibited
+// (§5.8).  For Type 1, cands are the Pref candidates in
+// dom.LocateCompactAll order and the first is the shared subtree; for
+// Type 2 they are the Pref+SPref pattern matches in document order, as
+// dom.LocatePattern produces them.
 func (cf *CompiledFamily) ApplyCands(p *layout.Page, cands []*dom.Node, opt Options) []*ExtractedSection {
-	compiledHits.Add(1)
 	sc := acquireApplyScratch()
 	defer applyScratchPool.Put(sc)
 	switch cf.f.Type {
@@ -368,6 +374,8 @@ func (cf *CompiledFamily) ApplyCands(p *layout.Page, cands []*dom.Node, opt Opti
 	return nil
 }
 
+// applyType1 splits the shared subtree's lines at boundary lines carrying
+// the family's LBM attributes.
 func (cf *CompiledFamily) applyType1(p *layout.Page, t *dom.Node, sc *applyScratch, opt Options) []*ExtractedSection {
 	f := cf.f
 	first, last, ok := p.Span(t)
@@ -381,7 +389,7 @@ func (cf *CompiledFamily) applyType1(p *layout.Page, t *dom.Node, sc *applyScrat
 		if secStart < 0 || secStart >= end {
 			return
 		}
-		recs := cf.partition(p, secStart, end, sc, opt)
+		recs := cf.sep.partition(p, secStart, end, sc, opt)
 		out = append(out, &ExtractedSection{
 			Heading:    heading,
 			Order:      -1,
@@ -403,6 +411,9 @@ func (cf *CompiledFamily) applyType1(p *layout.Page, t *dom.Node, sc *applyScrat
 	return out
 }
 
+// applyType2 takes each pattern match as one member section.  Matches
+// arrive in document order and never nest, so the sections come out
+// sorted by Start.
 func (cf *CompiledFamily) applyType2(p *layout.Page, matches []*dom.Node, sc *applyScratch, opt Options) []*ExtractedSection {
 	f := cf.f
 	var out []*ExtractedSection
@@ -412,11 +423,15 @@ func (cf *CompiledFamily) applyType2(p *layout.Page, matches []*dom.Node, sc *ap
 		if !ok {
 			continue
 		}
+		// §5.8: member sections are recognized by their boundary markers'
+		// distinctive text attributes.  A candidate subtree without an
+		// aLBM-attributed line directly above it is page furniture that
+		// merely shares the tag shape (navigation rows, footers, …).
 		if first == 0 || !attrSetEqual(p.Lines[first-1].Attrs, f.LBMAttrs) {
 			continue
 		}
 		heading := p.Lines[first-1].Text
-		recs := cf.partition(p, first, last+1, sc, opt)
+		recs := cf.sep.partition(p, first, last+1, sc, opt)
 		out = append(out, &ExtractedSection{
 			Heading:    heading,
 			Order:      -1,
@@ -426,23 +441,5 @@ func (cf *CompiledFamily) applyType2(p *layout.Page, matches []*dom.Node, sc *ap
 			FromFamily: true,
 		})
 	}
-	// Matches arrive in document order, so the spans are already sorted by
-	// Start; kept for parity with applyType2's explicit sort.
-	sortSectionsByStart(out)
 	return out
-}
-
-func sortSectionsByStart(out []*ExtractedSection) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Start < out[j-1].Start; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-}
-
-func (cf *CompiledFamily) partition(p *layout.Page, start, end int, sc *applyScratch, opt Options) []visual.Block {
-	if blocks := partitionBySepCompiled(p, start, end, &cf.sep, sc); blocks != nil {
-		return blocks
-	}
-	return mining.MineRecords(p, start, end, opt.Mining)
 }

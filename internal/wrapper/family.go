@@ -5,8 +5,6 @@ import (
 
 	"mse/internal/dom"
 	"mse/internal/layout"
-	"mse/internal/mining"
-	"mse/internal/visual"
 )
 
 // FamilyType distinguishes the two section-family classes of Section 5.8.
@@ -266,101 +264,4 @@ func attrsKey(attrs []layout.TextAttr) string {
 			"|" + string(rune('0'+a.Style)) + "|" + a.Color + ";"
 	}
 	return k
-}
-
-// Apply runs a family against a page, returning every member section found
-// — including hidden ones that no sample page exhibited.  Like
-// SectionWrapper.Apply it is the interpreted reference that tests compare
-// the compiled form (CompileFamily) against.
-func (f *Family) Apply(p *layout.Page, query []string, opt Options) []*ExtractedSection {
-	switch f.Type {
-	case Type1:
-		return f.applyType1(p, opt)
-	case Type2:
-		return f.applyType2(p, opt)
-	}
-	return nil
-}
-
-// applyType1 locates the shared subtree and splits its lines at boundary
-// lines carrying the family's LBM attributes.
-func (f *Family) applyType1(p *layout.Page, opt Options) []*ExtractedSection {
-	t := dom.LocateCompact(p.Doc, f.Pref)
-	if t == nil {
-		return nil
-	}
-	first, last, ok := p.Span(t)
-	if !ok {
-		return nil
-	}
-	var out []*ExtractedSection
-	heading := ""
-	secStart := -1
-	flush := func(end int) {
-		if secStart < 0 || secStart >= end {
-			return
-		}
-		recs := f.partition(p, secStart, end, opt)
-		out = append(out, &ExtractedSection{
-			Heading:    heading,
-			Order:      -1,
-			Start:      secStart,
-			End:        end,
-			Records:    extractRecords(p, recs),
-			FromFamily: true,
-		})
-	}
-	for i := first; i <= last; i++ {
-		if attrsEqual(attrSetOf(p.Lines[i].Attrs), f.LBMAttrs) {
-			opt.Cancel.Check()
-			flush(i)
-			heading = p.Lines[i].Text
-			secStart = i + 1
-		}
-	}
-	flush(last + 1)
-	return out
-}
-
-// applyType2 finds every subtree whose compact path matches ppref+spref
-// with a free sibling count at the junction; each match is one member
-// section.
-func (f *Family) applyType2(p *layout.Page, opt Options) []*ExtractedSection {
-	pattern := append(append(dom.CompactPath(nil), f.Pref...), f.SPref...)
-	var out []*ExtractedSection
-	for _, t := range dom.LocatePattern(p.Doc, pattern, len(f.Pref)) {
-		opt.Cancel.Check()
-		first, last, ok := p.Span(t)
-		if !ok {
-			continue
-		}
-		// §5.8: member sections are recognized by their boundary markers'
-		// distinctive text attributes.  A candidate subtree without an
-		// aLBM-attributed line directly above it is page furniture that
-		// merely shares the tag shape (navigation rows, footers, …).
-		if first == 0 || !attrsEqual(attrSetOf(p.Lines[first-1].Attrs), f.LBMAttrs) {
-			continue
-		}
-		heading := p.Lines[first-1].Text
-		recs := f.partition(p, first, last+1, opt)
-		out = append(out, &ExtractedSection{
-			Heading:    heading,
-			Order:      -1,
-			Start:      first,
-			End:        last + 1,
-			Records:    extractRecords(p, recs),
-			FromFamily: true,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// partition splits a member section's lines into records with the family
-// separator, falling back to cohesion mining.
-func (f *Family) partition(p *layout.Page, start, end int, opt Options) []visual.Block {
-	if blocks := partitionBySep(p, start, end, f.Sep); blocks != nil {
-		return blocks
-	}
-	return mining.MineRecords(p, start, end, opt.Mining)
 }

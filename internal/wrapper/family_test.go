@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mse/internal/cluster"
+	"mse/internal/dom"
 	"mse/internal/layout"
 	"mse/internal/sect"
 	"mse/internal/visual"
@@ -90,7 +91,7 @@ func TestFamilyExtractsHiddenThirdSection(t *testing.T) {
 	}
 	// A page with a THIRD same-format section never seen in training.
 	p, _ := multiSectionPage(3, []int{3, 2, 4}, "zz")
-	secs := fams[0].Apply(p, []string{"q"}, DefaultOptions())
+	secs := applyFamily(fams[0], p)
 	if len(secs) != 3 {
 		for _, s := range secs {
 			t.Logf("family section %q [%d,%d)", s.Heading, s.Start, s.End)
@@ -110,6 +111,46 @@ func TestFamilyExtractsHiddenThirdSection(t *testing.T) {
 	}
 }
 
+func TestFamilyType1SplitsBestCandidate(t *testing.T) {
+	// A flat Type 1 layout: both sections sit in one container, delimited
+	// by styled heading lines.  A second, farther container with the same
+	// tag path holds no heading lines; the family must split the nearest
+	// candidate, not the farther one.
+	const heading = `<div style="font-size: 18px; font-weight: bold; color: #663300">%s</div>`
+	p := render(`<body><h1>Site</h1><div>` +
+		fmt.Sprintf(heading, "Heading A") +
+		`<p><a href="/a1">Title a1</a></p><p><a href="/a2">Title a2</a></p>` +
+		fmt.Sprintf(heading, "Heading B") +
+		`<p><a href="/b1">Title b1</a></p>` +
+		`</div><div><p>Furniture one</p><p>Furniture two</p></div></body>`)
+	section := p.SectionRoot(1, 6)
+	if section == nil {
+		t.Fatalf("setup: no subtree covers the sections")
+	}
+	f := &Family{
+		Type:     Type1,
+		Pref:     dom.PathOf(section).Compact(),
+		Sep:      Separator{StartSigs: []string{sigOf(t, p, 2, 3)}},
+		LBMAttrs: p.Lines[1].Attrs,
+	}
+	if cands := dom.LocateCompactAll(p.Doc, f.Pref); len(cands) != 2 {
+		t.Fatalf("setup: %d candidates, want the 2 containers", len(cands))
+	}
+	secs := applyFamily(f, p)
+	if len(secs) != 2 {
+		t.Fatalf("family found %d sections, want 2", len(secs))
+	}
+	for i, want := range []struct {
+		heading string
+		records int
+	}{{"Heading A", 2}, {"Heading B", 1}} {
+		if secs[i].Heading != want.heading || len(secs[i].Records) != want.records {
+			t.Fatalf("section %d = %q with %d records, want %q with %d",
+				i, secs[i].Heading, len(secs[i].Records), want.heading, want.records)
+		}
+	}
+}
+
 func TestFamilyIgnoresFurniture(t *testing.T) {
 	_, fams := buildFamilyWrappers(t)
 	// A page whose body also has plain divs (nav/footer) that share the
@@ -122,7 +163,7 @@ func TestFamilyIgnoresFurniture(t *testing.T) {
 	<tr><td><a href="/b">Title b</a><br>snippet b</td></tr>
 	</table>
 	<div>Copyright notice.</div></body>`)
-	secs := fams[0].Apply(p, []string{"q"}, DefaultOptions())
+	secs := applyFamily(fams[0], p)
 	for _, s := range secs {
 		txt := ""
 		for _, r := range s.Records {

@@ -5,43 +5,6 @@ import (
 	"testing"
 )
 
-// The benchmarks below pin the win from the partitionBySep signature
-// classification rework: the legacy code re-derived the root tag of every
-// stored separator signature for every unknown root (with a hand-rolled
-// byte scan), while the current code derives the tag lists at most once
-// per call (tagsOf) and scans tags with strings.IndexByte.  The legacy
-// implementation is preserved here, in test code only, as the comparison
-// baseline.
-
-// legacyIndexByte is the hand-rolled scan sigTag used before it switched
-// to strings.IndexByte.
-func legacyIndexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-func legacySigTag(sig string) string {
-	if i := legacyIndexByte(sig, '('); i >= 0 {
-		return sig[:i]
-	}
-	return sig
-}
-
-// legacyContainsTag re-parses every stored signature per query, exactly as
-// partitionBySep's unknown-signature fallback did before the rework.
-func legacyContainsTag(sigs []string, tag string) bool {
-	for _, s := range sigs {
-		if legacySigTag(s) == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // benchSeparator builds a separator with realistic signature shapes (tag +
 // nested child signature text, as mining.RootSignature emits).
 func benchSeparator() Separator {
@@ -63,38 +26,18 @@ func benchRootSigs() []string {
 	return sigs
 }
 
-func BenchmarkWrapperSigClassifyLegacy(b *testing.B) {
-	sep := benchSeparator()
+// BenchmarkWrapperSigClassify times the unknown-signature fallback of
+// partitionBySepCompiled: each root's tag against the tag lists compileSep
+// derived once from the stored signatures.
+func BenchmarkWrapperSigClassify(b *testing.B) {
+	cs := compileSep(benchSeparator())
 	roots := benchRootSigs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		starts := 0
 		for _, sig := range roots {
-			tag := legacySigTag(sig)
-			if legacyContainsTag(sep.StartSigs, tag) && !legacyContainsTag(sep.InteriorSigs, tag) {
-				starts++
-			}
-		}
-		if starts != len(roots) {
-			b.Fatalf("starts = %d, want %d", starts, len(roots))
-		}
-	}
-}
-
-func BenchmarkWrapperSigClassifyCurrent(b *testing.B) {
-	sep := benchSeparator()
-	roots := benchRootSigs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		starts := 0
-		var startTags, interiorTags []string
-		for _, sig := range roots {
-			if startTags == nil {
-				startTags = tagsOf(sep.StartSigs)
-				interiorTags = tagsOf(sep.InteriorSigs)
-			}
 			tag := sigTag(sig)
-			if containsString(startTags, tag) && !containsString(interiorTags, tag) {
+			if containsString(cs.startTags, tag) && !containsString(cs.interiorTags, tag) {
 				starts++
 			}
 		}

@@ -35,19 +35,6 @@ type Separator struct {
 	RootsPerRecord int
 }
 
-// isStart classifies a root signature: true when it has been seen starting
-// records at least as often as inside them.
-func (s Separator) isStart(sig string) bool {
-	if !containsString(s.StartSigs, sig) {
-		return false
-	}
-	return true
-}
-
-func (s Separator) isInterior(sig string) bool {
-	return containsString(s.InteriorSigs, sig) && !containsString(s.StartSigs, sig)
-}
-
 func containsString(list []string, v string) bool {
 	for _, x := range list {
 		if x == v {
@@ -322,19 +309,6 @@ func sortAttrs(attrs []layout.TextAttr) {
 		}
 		return a.Color < b.Color
 	})
-}
-
-// attrsEqual compares two attr sets for equality (both must be sorted).
-func attrsEqual(a, b []layout.TextAttr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // attrsDisjoint reports whether no attribute of a appears in b.

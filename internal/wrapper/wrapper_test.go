@@ -18,6 +18,28 @@ func render(src string) *layout.Page {
 	return layout.Render(htmlparse.Parse(src))
 }
 
+// applyWrapper runs w's compiled form on p with the candidates
+// dom.LocateCompactAll finds for its Pref: the list the prune pass hands
+// it during extraction.
+func applyWrapper(w *SectionWrapper, p *layout.Page, query []string) *ExtractedSection {
+	return Compile(w).Apply(p, dom.LocateCompactAll(p.Doc, w.Pref), query, DefaultOptions())
+}
+
+// applyFamily is applyWrapper for a family, with the candidates the prune
+// pass would hand it: the Pref candidates for Type 1, the Pref+SPref
+// pattern matches for Type 2.
+func applyFamily(f *Family, p *layout.Page) []*ExtractedSection {
+	var cands []*dom.Node
+	switch f.Type {
+	case Type1:
+		cands = dom.LocateCompactAll(p.Doc, f.Pref)
+	case Type2:
+		pattern := append(append(dom.CompactPath(nil), f.Pref...), f.SPref...)
+		cands = dom.LocatePattern(p.Doc, pattern, len(f.Pref))
+	}
+	return CompileFamily(f).ApplyCands(p, cands, DefaultOptions())
+}
+
 // sectionPage builds a page with one heading + n two-line records in a
 // table, and returns the page plus the hand-made refined section.
 func sectionPage(n int, tag string) (*layout.Page, *sect.Section) {
@@ -69,7 +91,7 @@ func TestBuildWrapperComponents(t *testing.T) {
 func TestApplyToNewPage(t *testing.T) {
 	w, _ := buildTestWrapper(t)
 	p, _ := sectionPage(5, "zz") // unseen record count
-	got := w.Apply(p, []string{"q"}, DefaultOptions())
+	got := applyWrapper(w, p, []string{"q"})
 	if got == nil {
 		t.Fatalf("wrapper did not fire")
 	}
@@ -96,8 +118,28 @@ func TestApplyRejectsPageWithoutSection(t *testing.T) {
 	w, _ := buildTestWrapper(t)
 	p := render(`<body><h1>Site</h1><div>No results found for your query.</div>
 	<div>Copyright notice.</div></body>`)
-	if got := w.Apply(p, []string{"q"}, DefaultOptions()); got != nil {
+	if got := applyWrapper(w, p, []string{"q"}); got != nil {
 		t.Fatalf("wrapper fired on a no-results page: %+v", got)
+	}
+}
+
+func TestApplyHeadingOnFirstLine(t *testing.T) {
+	// The section's heading is the page's first line, so the section
+	// starts at line 1; the heading above it must still validate it.
+	w, _ := buildTestWrapper(t)
+	var sb strings.Builder
+	sb.WriteString(`<body><h3>Results</h3><table>`)
+	for i := 0; i < 3; i++ {
+		fmt.Fprintf(&sb, `<tr><td><a href="/f%d">Title f %d</a><br>snippet f %d</td></tr>`, i, i, i)
+	}
+	sb.WriteString(`</table></body>`)
+	got := applyWrapper(w, render(sb.String()), []string{"q"})
+	if got == nil {
+		t.Fatalf("wrapper did not fire under a first-line heading")
+	}
+	if got.Heading != "Results" || got.Start != 1 || len(got.Records) != 3 {
+		t.Fatalf("section = heading %q, start %d, %d records; want \"Results\", 1, 3",
+			got.Heading, got.Start, len(got.Records))
 	}
 }
 
@@ -121,8 +163,8 @@ func TestWrapperJSONRoundTrip(t *testing.T) {
 		t.Fatalf("attrs changed")
 	}
 	p, _ := sectionPage(4, "rr")
-	a := w.Apply(p, []string{"q"}, DefaultOptions())
-	b := restored.Apply(p, []string{"q"}, DefaultOptions())
+	a := applyWrapper(w, p, []string{"q"})
+	b := applyWrapper(&restored, p, []string{"q"})
 	if (a == nil) != (b == nil) {
 		t.Fatalf("restored wrapper behaves differently")
 	}
