@@ -84,10 +84,12 @@ check: build vet fmt test msebench-check race drift relearn smoke scenario
 stress:
 	MSE_STRESS_N=300 $(GO) test -race -count=1 -v -run TestStressExtract ./internal/serve
 
-# mutants applies each hand-written mutation of wrapper application
-# (internal/wrapper/compile.go) listed in scripts/mutants.sh to a copy of
-# the module and runs the wrapper, core and serve tests against it.  It
-# fails when a mutation survives or its line no longer occurs in the file.
+# mutants applies each hand-written mutation listed in scripts/mutants.sh
+# (wrapper application in internal/wrapper/compile.go, the W x Dinr
+# threshold in internal/visual/visual.go) to a copy of the module and runs
+# the wrapper, core and serve tests, plus the mutated package's, against
+# it.  It fails when a mutation survives or its line no longer occurs in
+# its file.
 # About a minute and a half; a CI step of its own, not part of check.
 mutants:
 	bash scripts/mutants.sh

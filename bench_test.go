@@ -248,8 +248,7 @@ func BenchmarkAblationWParameter(b *testing.B) {
 		wv := wv
 		b.Run(fmt.Sprintf("W=%.1f", wv), func(b *testing.B) {
 			opt := core.DefaultOptions()
-			opt.Refine.W = wv
-			opt.Granularity.W = wv
+			opt.W = wv
 			var res eval.Result
 			for i := 0; i < b.N; i++ {
 				res = mseRun(engines, true, opt, 5)

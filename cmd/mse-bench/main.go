@@ -324,8 +324,7 @@ func printAblations(bed []*synth.Engine) {
 	fmt.Printf("%-8s %8s %8s\n", "W", "R-Tot%", "P-Tot%")
 	for _, wv := range []float64{1.0, 1.4, 1.8, 2.2, 3.0} {
 		opt := benchOpts()
-		opt.Refine.W = wv
-		opt.Granularity.W = wv
+		opt.W = wv
 		res := eval.Run(bed, eval.RunConfig{
 			SampleCount: 5, PageCount: 10, MultiOnly: true,
 			NewExtractor: func() eval.Extractor { return eval.NewMSE(opt) },

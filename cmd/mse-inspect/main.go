@@ -60,6 +60,7 @@ func main() {
 		})
 	}
 
+	opt := core.DefaultOptions()
 	switch *mode {
 	case "lines":
 		for _, in := range inputs {
@@ -74,7 +75,7 @@ func main() {
 	case "mrs":
 		for _, in := range inputs {
 			fmt.Printf("== %s\n", in.path)
-			for _, mr := range mre.Extract(in.page, mre.DefaultOptions()) {
+			for _, mr := range mre.Extract(in.page, &opt.Params, opt.MRE, nil) {
 				fmt.Printf("MR lines [%d,%d) with %d records\n", mr.Start, mr.End, len(mr.Records))
 				for i, r := range mr.Records {
 					fmt.Printf("  record %d: lines [%d,%d) %q\n", i+1, r.Start, r.End,
@@ -92,10 +93,10 @@ func main() {
 			samples = append(samples, &core.SamplePage{HTML: "", Query: in.query})
 			dseIns = append(dseIns, &dse.PageInput{
 				Page: in.page, Query: in.query,
-				MRs: mre.Extract(in.page, mre.DefaultOptions()),
+				MRs: mre.Extract(in.page, &opt.Params, opt.MRE, nil),
 			})
 		}
-		_, marks := dse.Run(dseIns, dse.DefaultOptions())
+		_, marks := dse.Run(dseIns, opt.DSE)
 		// Re-run the full analysis for the refined view.
 		for i, in := range inputs {
 			data, err := os.ReadFile(in.path)
@@ -104,7 +105,7 @@ func main() {
 			}
 			samples[i].HTML = string(data)
 		}
-		pageSections, err := core.AnalyzePages(samples, core.DefaultOptions())
+		pageSections, err := core.AnalyzePages(samples, opt)
 		if err != nil {
 			fatal("analysis: %v", err)
 		}

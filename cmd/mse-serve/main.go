@@ -89,7 +89,6 @@ func main() {
 	withPprof := flag.Bool("pprof", false, "expose /debug/pprof/ and /debug/vars")
 	quiet := flag.Bool("quiet", false, "disable the per-request access log")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain timeout")
-	parallelism := flag.Int("parallelism", 0, "pipeline worker count per extraction (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0,
 		"max concurrent extractions before requests queue (0 = 2x GOMAXPROCS, -1 = unlimited)")
 	queueTimeout := flag.Duration("queue-timeout", time.Second,
@@ -132,7 +131,6 @@ func main() {
 		flag string
 		why  string
 	}{
-		{*parallelism >= 0, "-parallelism", "must be >= 0 (0 = GOMAXPROCS)"},
 		{*maxInflight >= -1, "-max-inflight", "must be >= -1 (0 = 2x GOMAXPROCS, -1 = unlimited)"},
 		{*queueTimeout > 0, "-queue-timeout", "must be positive"},
 		{*drain > 0, "-drain", "must be positive"},
@@ -163,9 +161,7 @@ func main() {
 	}
 	logger := slog.New(handler)
 
-	opts := core.DefaultOptions()
-	opts.Parallelism = *parallelism
-	reg := serve.NewRegistry(opts)
+	reg := serve.NewRegistry(core.DefaultOptions())
 	if !*quiet {
 		reg.SetAccessLog(logger)
 	}

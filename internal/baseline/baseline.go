@@ -127,14 +127,14 @@ func (m *MDR) regionToSection(page *layout.Page, nodes []*dom.Node) *core.Sectio
 }
 
 // SingleSection is the ViNTs-style baseline: MRE, keeping only the single
-// best MR per page.
+// best MR per page.  It reads Options.Params and Options.MRE.
 type SingleSection struct {
-	Options mre.Options
+	Options core.Options
 }
 
-// NewSingleSection returns the baseline with MRE's defaults.
+// NewSingleSection returns the baseline with the paper's parameters.
 func NewSingleSection() *SingleSection {
-	return &SingleSection{Options: mre.DefaultOptions()}
+	return &SingleSection{Options: core.DefaultOptions()}
 }
 
 // Name implements eval.Extractor.
@@ -146,7 +146,7 @@ func (s *SingleSection) Train([]*core.SamplePage) error { return nil }
 // Extract implements eval.Extractor.
 func (s *SingleSection) Extract(html string, query []string) []*core.Section {
 	page := layout.Render(htmlparse.Parse(html))
-	mrs := mre.Extract(page, s.Options)
+	mrs := mre.Extract(page, &s.Options.Params, s.Options.MRE, nil)
 	if len(mrs) == 0 {
 		return nil
 	}

@@ -35,15 +35,6 @@ type Options struct {
 	PathWeight   float64
 	SBMWeight    float64
 	ForestWeight float64
-	// Parallelism is the number of workers computing the pairwise score
-	// matrix; 0 means GOMAXPROCS.  Scores land in an index-addressed
-	// matrix, so the grouping result is identical at any setting.
-	Parallelism int
-	// Cancel, when non-nil, is polled by the score-matrix fill — the
-	// quadratic heart of clustering — so a canceled context aborts the
-	// grouping between instance pairs.  core.BuildWrapperCtx installs it;
-	// it never needs to be set by hand.
-	Cancel *cancel.Token
 }
 
 // DefaultOptions returns the tuned defaults.
@@ -82,7 +73,12 @@ type PageSections struct {
 }
 
 // GroupInstances builds the section instance groups across sample pages.
-func GroupInstances(pages []*PageSections, opt Options) []*Group {
+// workers computes the pairwise score matrix (0 means GOMAXPROCS); scores
+// land in an index-addressed matrix, so the grouping is identical at any
+// setting.  tok, when non-nil, is polled by the score-matrix fill — the
+// quadratic heart of clustering — so a canceled context aborts the
+// grouping between instance pairs.
+func GroupInstances(pages []*PageSections, opt Options, workers int, tok *cancel.Token) []*Group {
 	var instances []*Instance
 	for pi, ps := range pages {
 		for _, s := range ps.Sections {
@@ -118,16 +114,16 @@ func GroupInstances(pages []*PageSections, opt Options) []*Group {
 		}
 	}
 	scores := make([]float64, n*n)
-	par.ForEachIndex(len(pairs), par.Workers(opt.Parallelism), func(k int) {
-		opt.Cancel.Check()
+	par.ForEachIndex(len(pairs), par.Workers(workers), func(k int) {
+		tok.Check()
 		p := pairs[k]
-		s := Score(instances[p.a], instances[p.b], opt)
+		s := Score(instances[p.a], instances[p.b], opt, tok)
 		scores[p.a*n+p.b] = s
 		scores[p.b*n+p.a] = s
 	})
 	for a := 0; a < len(pageIDs); a++ {
 		for b := a + 1; b < len(pageIDs); b++ {
-			opt.Cancel.Check()
+			tok.Check()
 			ia, ib := byPage[pageIDs[a]], byPage[pageIDs[b]]
 			res := match.StableMarriage(len(ia), len(ib), func(i, j int) float64 {
 				return scores[ia[i]*n+ib[j]]
@@ -203,8 +199,8 @@ func NewInstance(pi int, ps *PageSections, s *sect.Section) *Instance {
 }
 
 // Score computes the matching score between two instances (higher is more
-// alike, in [0, 1]).
-func Score(a, b *Instance, opt Options) float64 {
+// alike, in [0, 1]).  tok may be nil.
+func Score(a, b *Instance, opt Options, tok *cancel.Token) float64 {
 	pathSim := 0.0
 	if len(a.pref) > 0 && len(b.pref) > 0 {
 		d := dom.PathDistance(a.pref, b.pref)
@@ -214,7 +210,7 @@ func Score(a, b *Instance, opt Options) float64 {
 		pathSim = 1 - d
 	}
 	sbmSim := sbmSimilarity(a, b)
-	forestSim := 1 - editdist.ForestDistCancel(a.recForest, b.recForest, opt.Cancel)
+	forestSim := 1 - editdist.ForestDistCancel(a.recForest, b.recForest, tok)
 	return opt.PathWeight*pathSim + opt.SBMWeight*sbmSim + opt.ForestWeight*forestSim
 }
 

@@ -58,7 +58,7 @@ func TestGroupInstancesByScheme(t *testing.T) {
 		p, secs := twoSectionPage(n, 2+i, tag)
 		pages = append(pages, &PageSections{Page: p, Query: []string{"q"}, Sections: secs})
 	}
-	groups := GroupInstances(pages, DefaultOptions())
+	groups := GroupInstances(pages, DefaultOptions(), 0, nil)
 	if len(groups) != 2 {
 		for gi, g := range groups {
 			for _, inst := range g.Instances {
@@ -91,7 +91,7 @@ func TestGroupDanglingInstanceDropped(t *testing.T) {
 		{Page: p0, Query: []string{"q"}, Sections: secs0},
 		{Page: p1, Query: []string{"q"}, Sections: secs1[:1]},
 	}
-	groups := GroupInstances(pages, DefaultOptions())
+	groups := GroupInstances(pages, DefaultOptions(), 0, nil)
 	if len(groups) != 1 {
 		t.Fatalf("groups = %d, want 1 (News only)", len(groups))
 	}
@@ -101,7 +101,7 @@ func TestGroupDanglingInstanceDropped(t *testing.T) {
 }
 
 func TestGroupInstancesEmpty(t *testing.T) {
-	if got := GroupInstances(nil, DefaultOptions()); len(got) != 0 {
+	if got := GroupInstances(nil, DefaultOptions(), 0, nil); len(got) != 0 {
 		t.Fatalf("no pages should give no groups")
 	}
 }
@@ -116,13 +116,13 @@ func TestScoreDiscriminates(t *testing.T) {
 	newsB := NewInstance(1, ps1, secs1[0])
 	prodB := NewInstance(1, ps1, secs1[1])
 	opt := DefaultOptions()
-	if Score(newsA, newsB, opt) <= Score(newsA, prodB, opt) {
+	if Score(newsA, newsB, opt, nil) <= Score(newsA, prodB, opt, nil) {
 		t.Fatalf("same-schema score should beat cross-schema score")
 	}
-	if Score(prodA, prodB, opt) <= Score(prodA, newsB, opt) {
+	if Score(prodA, prodB, opt, nil) <= Score(prodA, newsB, opt, nil) {
 		t.Fatalf("same-schema score should beat cross-schema score")
 	}
-	if s := Score(newsA, newsB, opt); s < opt.MatchThreshold {
+	if s := Score(newsA, newsB, opt, nil); s < opt.MatchThreshold {
 		t.Fatalf("same-schema score %g below threshold", s)
 	}
 }

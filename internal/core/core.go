@@ -35,6 +35,7 @@ import (
 	"mse/internal/prune"
 	"mse/internal/refine"
 	"mse/internal/sect"
+	"mse/internal/visual"
 	"mse/internal/wrapper"
 )
 
@@ -45,27 +46,31 @@ type SamplePage struct {
 	Query []string
 }
 
-// Options bundle the per-stage parameters.  The zero value is not usable;
-// start from DefaultOptions.
+// Options bundle the pipeline's parameters; each has exactly one field.
+// The zero value is not usable; start from DefaultOptions.
 type Options struct {
+	// Params are the similarity parameters the stages share: the line
+	// and record weights of Formulas 3 and 4 (steps 2 and 4-6 and the
+	// record mining of wrapper application) and the W × Dinr threshold of
+	// steps 4 and 6.
+	visual.Params
 	MRE         mre.Options
 	DSE         dse.Options
 	Refine      refine.Options
 	Mining      mining.Options
 	Granularity granularity.Options
 	Cluster     cluster.Options
-	Wrapper     wrapper.Options
 	// DisableRefine skips step 4 (ablation).
 	DisableRefine bool
 	// DisableGranularity skips step 6 (ablation).
 	DisableGranularity bool
 	// DisableFamilies skips step 9 (ablation).
 	DisableFamilies bool
-	// Parallelism is the worker count for the data-parallel stages: the
-	// per-page loops of steps 1-2 and 4-6, and (unless Cluster.Parallelism
-	// overrides it) the pairwise score matrix of step 7.  0 means
-	// GOMAXPROCS; 1 forces the serial path.  Results are written into
-	// index-addressed slices, so output is identical at any setting.
+	// Parallelism is the worker count for the data-parallel stages of
+	// wrapper induction: the per-page loops of steps 1-2 and 4-6 and the
+	// pairwise score matrix of step 7.  0 means GOMAXPROCS; 1 forces the
+	// serial path.  Results are written into index-addressed slices, so
+	// output is identical at any setting.
 	Parallelism int
 	// Obs, when non-nil, receives one trace per BuildWrapper /
 	// AnalyzePages / Extract call: a root span with one child span per
@@ -74,24 +79,18 @@ type Options struct {
 	// its caller's root span instead.  When nil — the default —
 	// instrumentation reduces to nil-receiver checks and costs nothing.
 	Obs *obs.Tracer
-
-	// cancel is the cooperative-cancellation token BuildWrapperCtx threads
-	// through the build pipeline; nil on BuildWrapper, which never fails
-	// by cancellation.  Extraction does not read it: ExtractLeasedObs
-	// derives a per-call token from its own ctx.
-	cancel *cancel.Token
 }
 
 // DefaultOptions returns the paper's parameters.
 func DefaultOptions() Options {
 	return Options{
+		Params:      visual.DefaultParams(),
 		MRE:         mre.DefaultOptions(),
 		DSE:         dse.DefaultOptions(),
 		Refine:      refine.DefaultOptions(),
 		Mining:      mining.DefaultOptions(),
 		Granularity: granularity.DefaultOptions(),
 		Cluster:     cluster.DefaultOptions(),
-		Wrapper:     wrapper.DefaultOptions(),
 	}
 }
 
@@ -174,6 +173,14 @@ var ErrNoSamplePages = errors.New("core: need at least two sample pages")
 // steps skipped by ablation options keep a zero-duration span — and the
 // counters pages, sections, records and tree_dist_calls.
 func BuildWrapper(samples []*SamplePage, opt Options) (*EngineWrapper, error) {
+	return buildWrapper(samples, opt, nil)
+}
+
+// buildWrapper is BuildWrapper polling tok (nil for none) at the
+// pipeline's checkpoints: the page renders of step 1, the candidate
+// section distances and scores of steps 2, 4 and 6, and the cluster score
+// matrix of step 7 (which reaches the tree-edit-distance DP).
+func buildWrapper(samples []*SamplePage, opt Options, tok *cancel.Token) (*EngineWrapper, error) {
 	if len(samples) < 2 {
 		return nil, ErrNoSamplePages
 	}
@@ -192,7 +199,7 @@ func BuildWrapper(samples []*SamplePage, opt Options) (*EngineWrapper, error) {
 	// only for the duration of this call — the wrappers built from them
 	// copy every string and path they keep — so their parse arenas and
 	// render scratches are leased from the pools and released on return.
-	pageSections, leases, err := analyzePages(samples, opt, root, true)
+	pageSections, leases, err := analyzePages(samples, opt, root, true, tok)
 	if err != nil {
 		return nil, err
 	}
@@ -202,13 +209,9 @@ func BuildWrapper(samples []*SamplePage, opt Options) (*EngineWrapper, error) {
 		}
 	}()
 	// Step 7: group section instances into schema clusters.
-	clOpt := opt.Cluster
-	if clOpt.Parallelism == 0 {
-		clOpt.Parallelism = opt.Parallelism
-	}
 	clusterSp := root.Child(obs.StepCluster)
 	t0 := clusterSp.Begin()
-	groups := cluster.GroupInstances(pageSections, clOpt)
+	groups := cluster.GroupInstances(pageSections, opt.Cluster, opt.Parallelism, tok)
 	clusterSp.AddSince(t0)
 	// Step 8: one wrapper per group, ordered by document position.
 	wrapSp := root.Child(obs.StepWrapper)
@@ -218,7 +221,7 @@ func BuildWrapper(samples []*SamplePage, opt Options) (*EngineWrapper, error) {
 	})
 	ws := make([]*wrapper.SectionWrapper, 0, len(groups))
 	for order, g := range groups {
-		ws = append(ws, wrapper.Build(g, pageSections, order, opt.Wrapper))
+		ws = append(ws, wrapper.Build(g, pageSections, order))
 	}
 	wrapSp.AddSince(t0)
 	// Step 9: section families.
@@ -226,7 +229,7 @@ func BuildWrapper(samples []*SamplePage, opt Options) (*EngineWrapper, error) {
 	if !opt.DisableFamilies {
 		famSp := root.Child(obs.StepFamilies)
 		t0 = famSp.Begin()
-		ws, fams = wrapper.BuildFamilies(ws, opt.Wrapper)
+		ws, fams = wrapper.BuildFamilies(ws)
 		famSp.AddSince(t0)
 	}
 	root.Count("tree_dist_calls", editdist.TreeCalls()-edCalls)
@@ -249,18 +252,18 @@ func AnalyzePages(samples []*SamplePage, opt Options) ([]*cluster.PageSections, 
 	defer root.End()
 	// The returned PageSections keep their pages alive indefinitely, so
 	// this path stays on the unpooled allocator.
-	out, _, err := analyzePages(samples, opt, root, false)
+	out, _, err := analyzePages(samples, opt, root, false, nil)
 	return out, err
 }
 
 // analyzePages is AnalyzePages recording its step spans under parent
-// (nil for none).  Step spans accumulate across the per-page loops, so
-// each step yields exactly one span regardless of sample count; under
-// parallelism the accumulated step durations sum worker time, not wall
-// time.  The per-page stages (1-2 and 4-6) fan out over a worker pool —
+// (nil for none) and polling tok (nil for none).  Step spans accumulate
+// across the per-page loops, so each step yields exactly one span
+// regardless of sample count; under parallelism the accumulated step
+// durations sum worker time, not wall time.  The per-page stages (1-2 and 4-6) fan out over a worker pool —
 // pages are independent there — while DSE (step 3) is inherently
 // cross-page and stays serial.
-func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled bool) ([]*cluster.PageSections, []*PageLease, error) {
+func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled bool, tok *cancel.Token) ([]*cluster.PageSections, []*PageLease, error) {
 	workers := par.Workers(opt.Parallelism)
 	renderSp := parent.Child(obs.StepRender)
 	mreSp := parent.Child(obs.StepMRE)
@@ -283,7 +286,7 @@ func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled b
 		}()
 	}
 	par.ForEachIndex(len(samples), workers, func(i int) {
-		opt.cancel.Check()
+		tok.Check()
 		sp := samples[i]
 		t0 := renderSp.Begin()
 		var page *layout.Page
@@ -294,14 +297,14 @@ func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled b
 			// recycles it.  RenderPooledCancel recycles its own scratch on
 			// panic, so the page is only attached once fully built.
 			leases[i] = &PageLease{arena: arena}
-			page = layout.RenderPooledCancel(doc, opt.cancel)
+			page = layout.RenderPooledCancel(doc, tok)
 			leases[i].page = page
 		} else {
 			page = layout.Render(htmlparse.Parse(sp.HTML)) // step 1
 		}
 		renderSp.AddSince(t0)
 		t0 = mreSp.Begin()
-		mrs := mre.Extract(page, opt.MRE) // step 2
+		mrs := mre.Extract(page, &opt.Params, opt.MRE, tok) // step 2
 		mreSp.AddSince(t0)
 		inputs[i] = &dse.PageInput{Page: page, Query: sp.Query, MRs: mrs}
 	})
@@ -315,7 +318,7 @@ func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled b
 	granSp := parent.Child(obs.StepGranularity)
 	out := make([]*cluster.PageSections, len(samples))
 	par.ForEachIndex(len(inputs), workers, func(i int) {
-		opt.cancel.Check()
+		tok.Check()
 		in := inputs[i]
 		var sections []*sect.Section
 		if opt.DisableRefine {
@@ -323,19 +326,19 @@ func analyzePages(samples []*SamplePage, opt Options, parent *obs.Span, pooled b
 			sections = dss[i]
 		} else {
 			t0 := refineSp.Begin()
-			sections = refine.Refine(in.Page, in.MRs, dss[i], marks[i], opt.Refine) // step 4
+			sections = refine.Refine(in.Page, in.MRs, dss[i], marks[i], &opt.Params, opt.Mining, opt.Refine, tok) // step 4
 			refineSp.AddSince(t0)
 		}
 		t0 := miningSp.Begin()
 		for _, s := range sections { // step 5
 			if len(s.Records) == 0 {
-				mining.Mine(s, opt.Mining)
+				mining.Mine(s, &opt.Params, opt.Mining)
 			}
 		}
 		miningSp.AddSince(t0)
 		if !opt.DisableGranularity {
 			t0 = granSp.Begin()
-			sections = granularity.Resolve(in.Page, sections, opt.Granularity) // step 6
+			sections = granularity.Resolve(in.Page, sections, &opt.Params, opt.Mining, opt.Granularity, tok) // step 6
 			granSp.AddSince(t0)
 		}
 		out[i] = &cluster.PageSections{Page: in.Page, Query: in.Query, Sections: sections}
@@ -469,8 +472,6 @@ func (ew *EngineWrapper) ExtractLeasedObs(ctx context.Context, html string, quer
 			panic(r)
 		}
 	}()
-	wopt := ew.opt.Wrapper
-	wopt.Cancel = tok
 	ce := ew.compiledEngine()
 	renderSp := root.Child(obs.StepRender)
 	t0 := renderSp.Begin()
@@ -493,7 +494,7 @@ func (ew *EngineWrapper) ExtractLeasedObs(ctx context.Context, html string, quer
 	wrapSp := root.Child(obs.StepWrapper)
 	t0 = wrapSp.Begin()
 	for i, cw := range ce.ws {
-		if s := cw.Apply(page, res.Cands(i), query, wopt); s != nil {
+		if s := cw.Apply(page, res.Cands(i), query, &ew.opt.Params, ew.opt.Mining, tok); s != nil {
 			all = append(all, s)
 		}
 	}
@@ -501,7 +502,7 @@ func (ew *EngineWrapper) ExtractLeasedObs(ctx context.Context, html string, quer
 	famSp := root.Child(obs.StepFamilies)
 	t0 = famSp.Begin()
 	for i, cf := range ce.fams {
-		all = append(all, cf.ApplyCands(page, res.Cands(len(ce.ws)+i), wopt)...)
+		all = append(all, cf.ApplyCands(page, res.Cands(len(ce.ws)+i), &ew.opt.Params, ew.opt.Mining, tok)...)
 	}
 	famSp.AddSince(t0)
 	return finishSections(all, root), lease, nil

@@ -26,21 +26,6 @@ func canceledErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrCanceled, context.Canceled)
 }
 
-// withCancel returns a copy of opt with the token installed at every
-// pipeline checkpoint site: the page renders of step 1, the candidate
-// section distances and scores of steps 2, 4 and 6, the cluster score
-// matrix of step 7 (which reaches the tree-edit-distance DP), and wrapper
-// application.
-func (o Options) withCancel(tok *cancel.Token) Options {
-	o.cancel = tok
-	o.MRE.Cancel = tok
-	o.Refine.Cancel = tok
-	o.Granularity.Cancel = tok
-	o.Cluster.Cancel = tok
-	o.Wrapper.Cancel = tok
-	return o
-}
-
 // recoverCanceled converts a cancellation signal unwinding the stack into
 // *err = canceledErr(ctx); any other panic value is re-raised.  It must be
 // deferred by exactly the function that derived the token from ctx.
@@ -67,12 +52,5 @@ func BuildWrapperCtx(ctx context.Context, samples []*SamplePage, opt Options) (e
 		return BuildWrapper(samples, opt)
 	}
 	defer recoverCanceled(ctx, &err)
-	ew, err = BuildWrapper(samples, opt.withCancel(tok))
-	if err != nil {
-		return nil, err
-	}
-	// Strip the per-call token: the wrapper outlives this call and later
-	// plain Extracts must not observe a dead context.
-	ew.opt = opt
-	return ew, nil
+	return buildWrapper(samples, opt, tok)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"mse/internal/synth"
@@ -68,5 +69,35 @@ func TestAnalyzePagesExported(t *testing.T) {
 				t.Fatalf("page %d has an empty refined section", i)
 			}
 		}
+	}
+}
+
+// TestOptionsOneFieldPerParameter pins the shape of Options: each
+// parameter has exactly one settable field, so no struct type is reachable
+// twice, and the exported leaves number 27 — the 3 line and 5 record
+// weights, W, MinDinr, MRE's 4, MinPairs, MaxBridgeGap, MaxGroup,
+// MaxMerge, the cluster's 4, the 3 ablation switches, Parallelism and Obs.
+func TestOptionsOneFieldPerParameter(t *testing.T) {
+	seen := map[reflect.Type]string{}
+	var leaves []string
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if typ.Kind() != reflect.Struct {
+			leaves = append(leaves, path)
+			return
+		}
+		if prev, ok := seen[typ]; ok {
+			t.Errorf("%s repeats %s (%v)", path, prev, typ)
+		}
+		seen[typ] = path
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Options{}), "Options")
+	if len(leaves) != 27 {
+		t.Errorf("Options has %d settable values, want 27: %v", len(leaves), leaves)
 	}
 }

@@ -9,7 +9,11 @@ import (
 	"mse/internal/layout"
 	"mse/internal/mre"
 	"mse/internal/synth"
+	"mse/internal/visual"
 )
+
+// testParams are the paper's shared similarity parameters.
+var testParams = visual.DefaultParams()
 
 func render(src string) *layout.Page {
 	return layout.Render(htmlparse.Parse(src))
@@ -37,7 +41,7 @@ func enginePage(query [2]string, ids []string) *layout.Page {
 func inputsForPages(pages []*layout.Page, queries [][]string) []*PageInput {
 	ins := make([]*PageInput, len(pages))
 	for i, p := range pages {
-		ins[i] = &PageInput{Page: p, Query: queries[i], MRs: mre.Extract(p, mre.DefaultOptions())}
+		ins[i] = &PageInput{Page: p, Query: queries[i], MRs: mre.Extract(p, &testParams, mre.DefaultOptions(), nil)}
 	}
 	return ins
 }
@@ -208,7 +212,7 @@ func TestRunOnSyntheticPages(t *testing.T) {
 			gp := e.Page(q)
 			p := render(gp.HTML)
 			ins = append(ins, &PageInput{Page: p, Query: gp.Query,
-				MRs: mre.Extract(p, mre.DefaultOptions())})
+				MRs: mre.Extract(p, &testParams, mre.DefaultOptions(), nil)})
 			gps = append(gps, gp)
 		}
 		dss, marks := Run(ins, DefaultOptions())

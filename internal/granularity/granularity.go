@@ -24,47 +24,41 @@ import (
 
 // Options control granularity resolution.
 type Options struct {
-	// W is the paper's dissimilarity multiplier (1.8).
-	W float64
-	// MinDinr floors Dinr when forming the W × Dinr threshold.
-	MinDinr       float64
-	LineWeights   visual.LineWeights
-	RecordWeights visual.RecordWeights
-	Mining        mining.Options
 	// MaxMerge bounds the k of k-consecutive-record merge candidates when
 	// looking for split records.
 	MaxMerge int
-	// Cancel, when non-nil, is polled before each section and each
-	// candidate partition is scored — the bulk of granularity resolution's
-	// time on pages with long sections.  core.BuildWrapperCtx installs it;
-	// it never needs to be set by hand.
-	Cancel *cancel.Token
 }
 
 // DefaultOptions returns the paper's parameters.
 func DefaultOptions() Options {
-	return Options{
-		W:             1.8,
-		MinDinr:       0.08,
-		LineWeights:   visual.DefaultLineWeights(),
-		RecordWeights: visual.DefaultRecordWeights(),
-		Mining:        mining.DefaultOptions(),
-		MaxMerge:      8,
-	}
+	return Options{MaxMerge: 8}
+}
+
+// config is one Resolve call's parameters: the stage's own options, the
+// shared visual parameters, record mining's options, and the token polled
+// before each section and each candidate partition is scored (the bulk of
+// granularity resolution's time on pages with long sections).
+type config struct {
+	Options
+	*visual.Params
+	mining mining.Options
+	tok    *cancel.Token
 }
 
 // Resolve applies both granularity repairs to a page's refined sections
-// and returns the corrected section list in document order.
-func Resolve(page *layout.Page, sections []*sect.Section, opt Options) []*sect.Section {
+// and returns the corrected section list in document order.  tok may be
+// nil.
+func Resolve(page *layout.Page, sections []*sect.Section, vp *visual.Params, mopt mining.Options, o Options, tok *cancel.Token) []*sect.Section {
+	opt := &config{Options: o, Params: vp, mining: mopt, tok: tok}
 	var out []*sect.Section
 	for _, s := range sections {
-		opt.Cancel.Check()
+		opt.tok.Check()
 		out = append(out, resolveOversized(page, s, opt)...)
 	}
 	for _, s := range out {
 		resolveSplitWithinSection(s, opt)
 	}
-	return mergeSingleRecordSiblings(page, out, opt)
+	return mergeSingleRecordSiblings(page, out)
 }
 
 // resolveOversized checks a section for records that are really whole
@@ -72,7 +66,7 @@ func Resolve(page *layout.Page, sections []*sect.Section, opt Options) []*sect.S
 // record-mined; if it decomposes, the boundary sub-records decide — via
 // the W × Dinr test — whether the original "records" were sections (split
 // the MR) or merely merged records (adopt the finer partition).
-func resolveOversized(page *layout.Page, s *sect.Section, opt Options) []*sect.Section {
+func resolveOversized(page *layout.Page, s *sect.Section, opt *config) []*sect.Section {
 	if len(s.Records) < 2 {
 		return []*sect.Section{s}
 	}
@@ -84,7 +78,7 @@ func resolveOversized(page *layout.Page, s *sect.Section, opt Options) []*sect.S
 		}
 	}
 	lr := s.Records[largest]
-	sub := mining.MineRecords(page, lr.Start, lr.End, opt.Mining)
+	sub := mining.MineRecords(page, lr.Start, lr.End, opt.Params, opt.mining)
 
 	// When the largest record decomposes, decide section-vs-merged-record
 	// by testing consecutive record pairs R1, R2: mine both; if the
@@ -97,7 +91,7 @@ func resolveOversized(page *layout.Page, s *sect.Section, opt Options) []*sect.S
 		var out []*sect.Section
 		for _, r := range s.Records {
 			ns := sect.New(page, r.Start, r.End)
-			ns.Records = mining.MineRecords(page, r.Start, r.End, opt.Mining)
+			ns.Records = mining.MineRecords(page, r.Start, r.End, opt.Params, opt.mining)
 			out = append(out, ns)
 		}
 		if len(out) > 0 {
@@ -115,7 +109,7 @@ func resolveOversized(page *layout.Page, s *sect.Section, opt Options) []*sect.S
 	var refined []visual.Block
 	decomposed := false
 	for _, r := range s.Records {
-		subR := mining.MineRecords(page, r.Start, r.End, opt.Mining)
+		subR := mining.MineRecords(page, r.Start, r.End, opt.Params, opt.mining)
 		if len(subR) > 1 {
 			decomposed = true
 			refined = append(refined, subR...)
@@ -124,8 +118,8 @@ func resolveOversized(page *layout.Page, s *sect.Section, opt Options) []*sect.S
 		}
 	}
 	if decomposed {
-		coOrig := mining.PartitionScore(page, s.Records, s.Start, s.End, opt.Mining)
-		coAlt := mining.PartitionScore(page, refined, s.Start, s.End, opt.Mining)
+		coOrig := mining.PartitionScore(page, s.Records, s.Start, s.End, opt.Params)
+		coAlt := mining.PartitionScore(page, refined, s.Start, s.End, opt.Params)
 		if coAlt > coOrig {
 			s.Records = refined
 		}
@@ -137,18 +131,18 @@ func resolveOversized(page *layout.Page, s *sect.Section, opt Options) []*sect.S
 // consecutive record pairs: with R1 mined into ⟨r11..r1u⟩ and R2 into
 // ⟨r21..r2v⟩, R1 and R2 are sections when Davgrs(r21, R1subs) > W×Dinr(R1subs)
 // or Davgrs(r1u, R2subs) > W×Dinr(R2subs).
-func consecutivePairsAreSections(page *layout.Page, s *sect.Section, opt Options) bool {
+func consecutivePairsAreSections(page *layout.Page, s *sect.Section, opt *config) bool {
 	votes, tests := 0, 0
 	for i := 0; i+1 < len(s.Records); i++ {
 		r1, r2 := s.Records[i], s.Records[i+1]
-		sub1 := mining.MineRecords(page, r1.Start, r1.End, opt.Mining)
-		sub2 := mining.MineRecords(page, r2.Start, r2.End, opt.Mining)
+		sub1 := mining.MineRecords(page, r1.Start, r1.End, opt.Params, opt.mining)
+		sub2 := mining.MineRecords(page, r2.Start, r2.End, opt.Params, opt.mining)
 		if len(sub1) < 2 || len(sub2) < 2 {
 			continue // a record that does not decompose is a plain record
 		}
 		tests++
-		t1 := threshold(sub1, opt)
-		t2 := threshold(sub2, opt)
+		t1 := opt.Threshold(sub1)
+		t2 := opt.Threshold(sub2)
 		r21 := sub2[0]
 		r1u := sub1[len(sub1)-1]
 		if visual.AvgRecordDistance(r21, sub1, opt.RecordWeights) > t1 ||
@@ -162,14 +156,14 @@ func consecutivePairsAreSections(page *layout.Page, s *sect.Section, opt Options
 // resolveSplitWithinSection repairs records that were split while the
 // section itself is correct: every "merge k consecutive records" partition
 // is scored by cohesion and the best partition is adopted (§5.5).
-func resolveSplitWithinSection(s *sect.Section, opt Options) {
+func resolveSplitWithinSection(s *sect.Section, opt *config) {
 	n := len(s.Records)
 	if n < 2 {
 		return
 	}
 	best := s.Records
-	opt.Cancel.Check()
-	bestScore := mining.PartitionScore(s.Page, best, s.Start, s.End, opt.Mining)
+	opt.tok.Check()
+	bestScore := mining.PartitionScore(s.Page, best, s.Start, s.End, opt.Params)
 	maxK := opt.MaxMerge
 	if maxK > n {
 		maxK = n
@@ -191,8 +185,8 @@ func resolveSplitWithinSection(s *sect.Section, opt Options) {
 		if !ok {
 			continue
 		}
-		opt.Cancel.Check()
-		if sc := mining.PartitionScore(s.Page, merged, s.Start, s.End, opt.Mining); sc > bestScore {
+		opt.tok.Check()
+		if sc := mining.PartitionScore(s.Page, merged, s.Start, s.End, opt.Params); sc > bestScore {
 			best, bestScore = merged, sc
 		}
 	}
@@ -204,7 +198,7 @@ func resolveSplitWithinSection(s *sect.Section, opt Options) {
 // single record each is really one section whose records were extracted as
 // sections.  The run is replaced by one section with each original section
 // as a record.
-func mergeSingleRecordSiblings(page *layout.Page, sections []*sect.Section, opt Options) []*sect.Section {
+func mergeSingleRecordSiblings(page *layout.Page, sections []*sect.Section) []*sect.Section {
 	var out []*sect.Section
 	i := 0
 	for i < len(sections) {
@@ -242,12 +236,4 @@ func adjacentSiblings(page *layout.Page, a, b *sect.Section) bool {
 		return false
 	}
 	return na.Parent != nil && na.Parent == nb.Parent
-}
-
-func threshold(recs []visual.Block, opt Options) float64 {
-	dinr := visual.InterRecordDistance(recs, opt.RecordWeights)
-	if dinr < opt.MinDinr {
-		dinr = opt.MinDinr
-	}
-	return opt.W * dinr
 }

@@ -6,9 +6,13 @@ import (
 
 	"mse/internal/htmlparse"
 	"mse/internal/layout"
+	"mse/internal/mining"
 	"mse/internal/sect"
 	"mse/internal/visual"
 )
+
+// testParams are the paper's shared similarity parameters.
+var testParams = visual.DefaultParams()
 
 func render(src string) *layout.Page {
 	return layout.Render(htmlparse.Parse(src))
@@ -30,7 +34,7 @@ func TestResolveMergedRecordsSplit(t *testing.T) {
 	for i := 0; i < 12; i += 4 {
 		s.Records = append(s.Records, visual.Block{Page: p, Start: i, End: i + 4})
 	}
-	out := Resolve(p, []*sect.Section{s}, DefaultOptions())
+	out := Resolve(p, []*sect.Section{s}, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 1 {
 		t.Fatalf("sections = %d, want 1", len(out))
 	}
@@ -57,7 +61,7 @@ func TestResolveSplitRecordsMerged(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		s.Records = append(s.Records, visual.Block{Page: p, Start: i, End: i + 1})
 	}
-	out := Resolve(p, []*sect.Section{s}, DefaultOptions())
+	out := Resolve(p, []*sect.Section{s}, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 1 {
 		t.Fatalf("sections = %d, want 1", len(out))
 	}
@@ -84,7 +88,7 @@ func TestResolveKeepsCorrectPartition(t *testing.T) {
 	for i := 0; i < 6; i += 2 {
 		s.Records = append(s.Records, visual.Block{Page: p, Start: i, End: i + 2})
 	}
-	out := Resolve(p, []*sect.Section{s}, DefaultOptions())
+	out := Resolve(p, []*sect.Section{s}, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 1 || len(out[0].Records) != 3 {
 		t.Fatalf("correct partition was changed: %d sections, %d records",
 			len(out), len(out[0].Records))
@@ -107,7 +111,7 @@ func TestResolveSingleRecordSectionsUntouched(t *testing.T) {
 	s1.Records = []visual.Block{{Page: p, Start: 1, End: 2}}
 	s2 := sect.New(p, 3, 4)
 	s2.Records = []visual.Block{{Page: p, Start: 3, End: 4}}
-	out := Resolve(p, []*sect.Section{s1, s2}, DefaultOptions())
+	out := Resolve(p, []*sect.Section{s1, s2}, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 2 {
 		t.Fatalf("non-adjacent single-record sections merged: %d", len(out))
 	}
@@ -127,7 +131,7 @@ func TestResolveMergesAdjacentSingleRecordSiblings(t *testing.T) {
 		s.Records = []visual.Block{{Page: p, Start: i, End: i + 3}}
 		secs = append(secs, s)
 	}
-	out := Resolve(p, secs, DefaultOptions())
+	out := Resolve(p, secs, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 1 {
 		t.Fatalf("sections = %d, want 1 (merged)", len(out))
 	}
@@ -159,7 +163,7 @@ func TestResolveOversizedSectionsAsRecords(t *testing.T) {
 		{Page: p, Start: 0, End: 6},
 		{Page: p, Start: 6, End: 12},
 	}
-	out := Resolve(p, []*sect.Section{s}, DefaultOptions())
+	out := Resolve(p, []*sect.Section{s}, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) < 2 {
 		for _, o := range out {
 			t.Logf("section %v:\n%s", o, o.Block().Text())
@@ -176,11 +180,11 @@ func TestResolveOversizedSectionsAsRecords(t *testing.T) {
 
 func TestResolveEmptyAndTiny(t *testing.T) {
 	p := render(`<body><p>x</p></body>`)
-	if out := Resolve(p, nil, DefaultOptions()); len(out) != 0 {
+	if out := Resolve(p, nil, &testParams, mining.DefaultOptions(), DefaultOptions(), nil); len(out) != 0 {
 		t.Fatalf("empty input should stay empty")
 	}
 	s := sect.New(p, 0, 1)
-	out := Resolve(p, []*sect.Section{s}, DefaultOptions())
+	out := Resolve(p, []*sect.Section{s}, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 1 {
 		t.Fatalf("tiny section mishandled")
 	}

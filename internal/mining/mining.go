@@ -19,32 +19,26 @@ import (
 
 // Options control record mining.
 type Options struct {
-	LineWeights   visual.LineWeights
-	RecordWeights visual.RecordWeights
 	// MaxGroup bounds the "every k roots" family of candidate partitions.
 	MaxGroup int
 }
 
 // DefaultOptions returns the defaults.
 func DefaultOptions() Options {
-	return Options{
-		LineWeights:   visual.DefaultLineWeights(),
-		RecordWeights: visual.DefaultRecordWeights(),
-		MaxGroup:      6,
-	}
+	return Options{MaxGroup: 6}
 }
 
 // MineRecords partitions the lines [start, end) of a page into records and
 // returns them in order.  The empty range yields nil.
-func MineRecords(p *layout.Page, start, end int, opt Options) []visual.Block {
+func MineRecords(p *layout.Page, start, end int, vp *visual.Params, opt Options) []visual.Block {
 	if start >= end {
 		return nil
 	}
 	parts := CandidatePartitions(p, start, end, opt)
 	best := parts[0]
-	bestScore := PartitionScore(p, best, start, end, opt)
+	bestScore := PartitionScore(p, best, start, end, vp)
 	for _, part := range parts[1:] {
-		if s := PartitionScore(p, part, start, end, opt); s > bestScore {
+		if s := PartitionScore(p, part, start, end, vp); s > bestScore {
 			best, bestScore = part, s
 		}
 	}
@@ -58,8 +52,8 @@ func MineRecords(p *layout.Page, start, end int, opt Options) []visual.Block {
 // section with records of different lengths beat the single-record
 // degenerate partition, whose cohesion is otherwise inflated by its zero
 // inter-record distance.
-func PartitionScore(p *layout.Page, part []visual.Block, start, end int, opt Options) float64 {
-	score := visual.SectionCohesion(part, opt.LineWeights, opt.RecordWeights)
+func PartitionScore(p *layout.Page, part []visual.Block, start, end int, vp *visual.Params) float64 {
+	score := visual.SectionCohesion(part, vp.LineWeights, vp.RecordWeights)
 	if len(part) >= 2 && uniformRecordStarts(p, part, start, end) {
 		score *= 1.6
 		// Search result records overwhelmingly open with their title
@@ -97,8 +91,8 @@ func uniformRecordStarts(p *layout.Page, part []visual.Block, start, end int) bo
 }
 
 // Mine fills in the Records of a record-less section.
-func Mine(s *sect.Section, opt Options) {
-	s.Records = MineRecords(s.Page, s.Start, s.End, opt)
+func Mine(s *sect.Section, vp *visual.Params, opt Options) {
+	s.Records = MineRecords(s.Page, s.Start, s.End, vp, opt)
 }
 
 // CandidatePartitions enumerates the candidate record partitions of the

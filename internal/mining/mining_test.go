@@ -6,7 +6,11 @@ import (
 
 	"mse/internal/htmlparse"
 	"mse/internal/layout"
+	"mse/internal/visual"
 )
+
+// testParams are the paper's shared similarity parameters.
+var testParams = visual.DefaultParams()
 
 func render(src string) *layout.Page {
 	return layout.Render(htmlparse.Parse(src))
@@ -20,7 +24,7 @@ func TestMineSingleRecord(t *testing.T) {
 	a snippet describing the only result<br>
 	www.site.example/only.html
 	</div></body>`)
-	recs := MineRecords(p, 0, len(p.Lines), DefaultOptions())
+	recs := MineRecords(p, 0, len(p.Lines), &testParams, DefaultOptions())
 	if len(recs) != 1 {
 		for _, r := range recs {
 			t.Logf("rec: %q", r.Text())
@@ -37,7 +41,7 @@ func TestMineTwoRecords(t *testing.T) {
 	<div><a href="/a">First Title</a><br>first snippet words</div>
 	<div><a href="/b">Second Title</a><br>second snippet words</div>
 	</body>`)
-	recs := MineRecords(p, 0, len(p.Lines), DefaultOptions())
+	recs := MineRecords(p, 0, len(p.Lines), &testParams, DefaultOptions())
 	if len(recs) != 2 {
 		for _, r := range recs {
 			t.Logf("rec: %q", r.Text())
@@ -55,7 +59,7 @@ func TestMineTableRecords(t *testing.T) {
 	<tr><td><a href="/2">Beta Title</a><br>beta snippet here</td></tr>
 	<tr><td><a href="/3">Gamma Title</a><br>gamma snippet here</td></tr>
 	</table></body>`)
-	recs := MineRecords(p, 0, len(p.Lines), DefaultOptions())
+	recs := MineRecords(p, 0, len(p.Lines), &testParams, DefaultOptions())
 	if len(recs) != 3 {
 		for _, r := range recs {
 			t.Logf("rec: %q", r.Text())
@@ -75,7 +79,7 @@ func TestMineMultiRowRecords(t *testing.T) {
 	<tr><td><a href="/3">Gamma Title</a></td></tr>
 	<tr><td>gamma snippet text here</td></tr>
 	</table></body>`)
-	recs := MineRecords(p, 0, len(p.Lines), DefaultOptions())
+	recs := MineRecords(p, 0, len(p.Lines), &testParams, DefaultOptions())
 	if len(recs) != 3 {
 		for _, r := range recs {
 			t.Logf("rec: %q", r.Text())
@@ -91,14 +95,14 @@ func TestMineMultiRowRecords(t *testing.T) {
 
 func TestMineEmptyRange(t *testing.T) {
 	p := render(`<body><p>x</p></body>`)
-	if got := MineRecords(p, 0, 0, DefaultOptions()); got != nil {
+	if got := MineRecords(p, 0, 0, &testParams, DefaultOptions()); got != nil {
 		t.Fatalf("empty range should yield nil, got %v", got)
 	}
 }
 
 func TestMineSingleLine(t *testing.T) {
 	p := render(`<body><p><a href="/x">lone line</a></p></body>`)
-	recs := MineRecords(p, 0, 1, DefaultOptions())
+	recs := MineRecords(p, 0, 1, &testParams, DefaultOptions())
 	if len(recs) != 1 || recs[0].Len() != 1 {
 		t.Fatalf("single line should be a single record")
 	}
@@ -140,7 +144,7 @@ func TestMineMixedRecordLengths(t *testing.T) {
 	<div><a href="/b">Title Two</a><br>snippet<br>extra line<br>third line</div>
 	<div><a href="/c">Title Three</a><br>snippet<br>extra line</div>
 	</body>`)
-	recs := MineRecords(p, 0, len(p.Lines), DefaultOptions())
+	recs := MineRecords(p, 0, len(p.Lines), &testParams, DefaultOptions())
 	if len(recs) != 3 {
 		for _, r := range recs {
 			t.Logf("rec: %q", r.Text())

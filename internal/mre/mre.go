@@ -30,9 +30,6 @@ import (
 
 // Options control MRE.
 type Options struct {
-	// LineWeights and RecordWeights parameterize the visual distances.
-	LineWeights   visual.LineWeights
-	RecordWeights visual.RecordWeights
 	// GroupDistance is the maximum visual record distance between
 	// consecutive blocks placed in the same candidate section.
 	GroupDistance float64
@@ -45,24 +42,27 @@ type Options struct {
 	// MinOverlap is the fractional line overlap above which two tentative
 	// MRs are considered to occupy the same page area.
 	MinOverlap float64
-	// Cancel, when non-nil, is polled before each inter-record distance
-	// and cohesion score of a candidate section — the bulk of MRE's time
-	// on pages with long sections.  core.BuildWrapperCtx installs it; it
-	// never needs to be set by hand.
-	Cancel *cancel.Token
 }
 
 // DefaultOptions returns the tuned defaults (tuned on sample pages only,
 // as in §6 of the paper).
 func DefaultOptions() Options {
 	return Options{
-		LineWeights:    visual.DefaultLineWeights(),
-		RecordWeights:  visual.DefaultRecordWeights(),
 		GroupDistance:  0.32,
 		MaxInterRecord: 0.38,
 		MinRecords:     3,
 		MinOverlap:     0.5,
 	}
+}
+
+// config is one Extract call's parameters: MRE's own options, the shared
+// visual weights, and the token polled before each inter-record distance
+// and cohesion score of a candidate section (the bulk of MRE's time on
+// pages with long sections).
+type config struct {
+	Options
+	*visual.Params
+	tok *cancel.Token
 }
 
 // signature is a content-line pattern: the line's type code plus its
@@ -73,11 +73,12 @@ type signature struct {
 }
 
 // Extract runs MRE on a rendered page and returns the extracted
-// multi-record sections in document order.
-func Extract(p *layout.Page, opt Options) []*sect.Section {
+// multi-record sections in document order.  tok may be nil.
+func Extract(p *layout.Page, vp *visual.Params, o Options, tok *cancel.Token) []*sect.Section {
 	if len(p.Lines) == 0 {
 		return nil
 	}
+	opt := config{Options: o, Params: vp, tok: tok}
 	tentative := tentativeMRs(p, opt)
 	if len(tentative) == 0 {
 		return nil
@@ -93,7 +94,7 @@ func Extract(p *layout.Page, opt Options) []*sect.Section {
 
 // tentativeMRs builds candidate sections from every repeating line
 // signature.
-func tentativeMRs(p *layout.Page, opt Options) []*sect.Section {
+func tentativeMRs(p *layout.Page, opt config) []*sect.Section {
 	occ := map[signature][]int{}
 	for i, l := range p.Lines {
 		if l.Type == layout.BlankLine || l.Type == layout.RuleLine {
@@ -126,7 +127,7 @@ func tentativeMRs(p *layout.Page, opt Options) []*sect.Section {
 // sectionsForSignature partitions the page at the signature's occurrence
 // lines (each occurrence starts a candidate record) and groups
 // consecutive, visually similar blocks into candidate sections.
-func sectionsForSignature(p *layout.Page, occs []int, opt Options) []*sect.Section {
+func sectionsForSignature(p *layout.Page, occs []int, opt config) []*sect.Section {
 	blocks := make([]visual.Block, 0, len(occs))
 	for i, start := range occs {
 		end := len(p.Lines)
@@ -198,18 +199,18 @@ func containsRule(b visual.Block) bool {
 // grouped pairwise under <tbody> — have legitimately incompatible
 // first-line paths, and the inter-record distance already carries the
 // structural signal through its tag-forest component.)
-func verify(s *sect.Section, opt Options) bool {
+func verify(s *sect.Section, opt config) bool {
 	if len(s.Records) < opt.MinRecords {
 		return false
 	}
-	opt.Cancel.Check()
+	opt.tok.Check()
 	return visual.InterRecordDistance(s.Records, opt.RecordWeights) <= opt.MaxInterRecord
 }
 
 // groupByArea clusters tentative MRs that occupy substantially the same
 // page area (fractional line overlap above MinOverlap, measured against
 // the smaller section).
-func groupByArea(tentative []*sect.Section, opt Options) [][]*sect.Section {
+func groupByArea(tentative []*sect.Section, opt config) [][]*sect.Section {
 	n := len(tentative)
 	parent := make([]int, n)
 	for i := range parent {
@@ -260,7 +261,7 @@ func groupByArea(tentative []*sect.Section, opt Options) [][]*sect.Section {
 // distance; phase-shifted partitions (records starting mid-record) are
 // penalized because their records straddle DOM subtrees and need several
 // tag-forest roots each, where a correctly phased record sits on one.
-func bestMR(group []*sect.Section, opt Options) *sect.Section {
+func bestMR(group []*sect.Section, opt config) *sect.Section {
 	best := group[0]
 	bestScore := score(best, opt)
 	for _, s := range group[1:] {
@@ -271,7 +272,7 @@ func bestMR(group []*sect.Section, opt Options) *sect.Section {
 	return best
 }
 
-func score(s *sect.Section, opt Options) float64 {
+func score(s *sect.Section, opt config) float64 {
 	// Cohesion (Formula 7) is the primary signal: partitions into
 	// single-line fragments score zero diversity and partitions that
 	// merge records score low diversity per line.  Alignment — every
@@ -279,7 +280,7 @@ func score(s *sect.Section, opt Options) float64 {
 	// that signature appearing once per record — earns a bonus, which is
 	// what lets a section of one-line records (zero diversity by
 	// definition) still beat a pairwise-merged alternative.
-	opt.Cancel.Check()
+	opt.tok.Check()
 	coh := visual.SectionCohesion(s.Records, opt.LineWeights, opt.RecordWeights)
 	bonus := 0.0
 	if uniformStarts(s) {

@@ -7,7 +7,11 @@ import (
 	"mse/internal/htmlparse"
 	"mse/internal/layout"
 	"mse/internal/synth"
+	"mse/internal/visual"
 )
+
+// testParams are the paper's shared similarity parameters.
+var testParams = visual.DefaultParams()
 
 func render(src string) *layout.Page {
 	return layout.Render(htmlparse.Parse(src))
@@ -31,7 +35,7 @@ func simpleSectionPage() *layout.Page {
 
 func TestExtractFindsMainSection(t *testing.T) {
 	p := simpleSectionPage()
-	mrs := Extract(p, DefaultOptions())
+	mrs := Extract(p, &testParams, DefaultOptions(), nil)
 	if len(mrs) == 0 {
 		t.Fatalf("no MRs extracted")
 	}
@@ -64,7 +68,7 @@ func TestExtractFindsMainSection(t *testing.T) {
 
 func TestExtractRecordBoundaries(t *testing.T) {
 	p := simpleSectionPage()
-	mrs := Extract(p, DefaultOptions())
+	mrs := Extract(p, &testParams, DefaultOptions(), nil)
 	for _, mr := range mrs {
 		if len(mr.Records) != 5 {
 			continue
@@ -98,7 +102,7 @@ func TestExtractMultipleSections(t *testing.T) {
 	<li><a href="/p3">Prod Three</a><br>price info<br>more details</li>
 	</ul></body>`
 	p := render(src)
-	mrs := Extract(p, DefaultOptions())
+	mrs := Extract(p, &testParams, DefaultOptions(), nil)
 	// MRE must find at least two distinct areas (ViNTs would keep only
 	// one).
 	if len(mrs) < 2 {
@@ -129,7 +133,7 @@ func TestExtractIgnoresShortRepeats(t *testing.T) {
 	<tr><td><a href="/a">One</a><br>snip</td></tr>
 	<tr><td><a href="/b">Two</a><br>snip</td></tr>
 	</table></body>`
-	mrs := Extract(render(src), DefaultOptions())
+	mrs := Extract(render(src), &testParams, DefaultOptions(), nil)
 	for _, mr := range mrs {
 		if strings.Contains(mr.Block().Text(), "One") && len(mr.Records) >= 3 {
 			t.Fatalf("short section wrongly extracted: %v", mr)
@@ -138,7 +142,7 @@ func TestExtractIgnoresShortRepeats(t *testing.T) {
 }
 
 func TestExtractEmptyPage(t *testing.T) {
-	if got := Extract(render(`<body></body>`), DefaultOptions()); len(got) != 0 {
+	if got := Extract(render(`<body></body>`), &testParams, DefaultOptions(), nil); len(got) != 0 {
 		t.Fatalf("empty page yielded %d MRs", len(got))
 	}
 }
@@ -158,7 +162,7 @@ func TestExtractStaticRepeatsArePossible(t *testing.T) {
 	<div><a href="/f2">Footer link two</a></div>
 	<div><a href="/f3">Footer link three</a></div>
 	</body>`
-	mrs := Extract(render(src), DefaultOptions())
+	mrs := Extract(render(src), &testParams, DefaultOptions(), nil)
 	found := false
 	for _, mr := range mrs {
 		if strings.Contains(mr.Block().Text(), "Res One") && len(mr.Records) >= 4 {
@@ -184,7 +188,7 @@ func TestExtractOnSyntheticEngines(t *testing.T) {
 			}
 			checked++
 			p := render(gp.HTML)
-			mrs := Extract(p, DefaultOptions())
+			mrs := Extract(p, &testParams, DefaultOptions(), nil)
 			marker := gp.Truth.Sections[0].Records[0].Marker
 			for _, mr := range mrs {
 				if strings.Contains(mr.Block().Text(), marker) {

@@ -55,7 +55,7 @@ func TestScorePrefersAlignedPartition(t *testing.T) {
 	<tr><td><a href="/3">Title Three</a></td></tr>
 	<tr><td>snippet three words</td></tr>
 	</table></body>`)
-	opt := DefaultOptions()
+	opt := config{Options: DefaultOptions(), Params: &testParams}
 	mk := func(starts ...int) *sect.Section {
 		s := sect.New(p, 0, 6)
 		for i, st := range starts {
@@ -95,7 +95,7 @@ func TestGroupByAreaMergesOverlaps(t *testing.T) {
 	a := sect.New(p, 0, 10)
 	b := sect.New(p, 2, 12) // overlaps a heavily
 	c := sect.New(p, 15, 20)
-	groups := groupByArea([]*sect.Section{a, b, c}, DefaultOptions())
+	groups := groupByArea([]*sect.Section{a, b, c}, config{Options: DefaultOptions()})
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want 2", len(groups))
 	}

@@ -38,8 +38,12 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefaultLatencyBuckets are the histogram bounds used for request
-// latencies: 1ms..10s, roughly logarithmic.
+// latencies: 10µs..10s, roughly logarithmic.  The sub-millisecond bounds
+// resolve a single extraction and its queue wait, which take tens to
+// hundreds of microseconds.
 var DefaultLatencyBuckets = []time.Duration{
+	10 * time.Microsecond, 20 * time.Microsecond, 50 * time.Microsecond,
+	100 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond,
 	1 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond,
 	10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
 	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,

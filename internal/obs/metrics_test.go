@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -86,6 +87,27 @@ func TestHistogramQuantiles(t *testing.T) {
 	h2.Observe(time.Hour)
 	if h2.Quantile(0.5) != time.Millisecond {
 		t.Fatalf("overflow quantile = %v", h2.Quantile(0.5))
+	}
+}
+
+// TestDefaultBucketsResolveMicroseconds checks that the default buckets
+// estimate sub-millisecond quantiles, the range of one extraction, to
+// within a quarter of the exact value rather than interpolating across
+// [0, 1ms].
+func TestDefaultBucketsResolveMicroseconds(t *testing.T) {
+	h := NewHistogram(nil)
+	exact := make([]time.Duration, 1000)
+	for i := range exact {
+		exact[i] = time.Duration(80+i%100) * time.Microsecond
+		h.Observe(exact[i])
+	}
+	sort.Slice(exact, func(i, j int) bool { return exact[i] < exact[j] })
+	for _, q := range []float64{0.50, 0.90, 0.99} {
+		want := exact[int(q*float64(len(exact)))-1]
+		got := h.Quantile(q)
+		if diff := (got - want).Abs(); diff > want/4 {
+			t.Errorf("p%.0f = %v, exact %v", 100*q, got, want)
+		}
 	}
 }
 

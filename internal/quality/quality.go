@@ -9,8 +9,10 @@
 // per-page anomaly test against that baseline, and a hysteresis-guarded
 // verdict (OK / SUSPECT / DRIFTED) that a relearner can act on.
 //
-// Signals per extraction: sections per page, records per page, whether the
-// extraction came back empty, and apply latency.  Baselines are
+// Signals per extraction: sections per page, records per page, and whether
+// the extraction came back empty.  Apply latency is tracked beside them
+// and reported on /driftz, but the anomaly test never reads it: a slow
+// page is not a drifted one.  Baselines are
 // obs.EWMA estimates — exact (Welford) during a warm-up prefix, slowly
 // exponential afterwards — so a healthy engine's natural variation is part
 // of the baseline, and a page is anomalous only when its z-score against

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mse/internal/layout"
+	"mse/internal/mining"
 	"mse/internal/sect"
 	"mse/internal/visual"
 )
@@ -41,7 +42,7 @@ func TestHiddenBoundarySplitsDS(t *testing.T) {
 	ds.LBM = 0
 	csbm := make([]bool, len(p.Lines))
 	csbm[0] = true
-	out := Refine(p, []*sect.Section{mr}, []*sect.Section{ds}, csbm, DefaultOptions())
+	out := Refine(p, []*sect.Section{mr}, []*sect.Section{ds}, csbm, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 2 {
 		for _, s := range out {
 			t.Logf("section %v:\n%s", s, s.Block().Text())
@@ -74,7 +75,7 @@ func TestLeftoverAttachedWhenUnexplained(t *testing.T) {
 	ds.LBM = 0
 	csbm := make([]bool, len(p.Lines))
 	csbm[0] = true
-	out := Refine(p, []*sect.Section{mr}, []*sect.Section{ds}, csbm, DefaultOptions())
+	out := Refine(p, []*sect.Section{mr}, []*sect.Section{ds}, csbm, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 1 {
 		t.Fatalf("leftover orphaned: %d sections", len(out))
 	}
@@ -92,7 +93,7 @@ func TestBareDSLeadingHeadingBecomesLBM(t *testing.T) {
 	</body>`)
 	ds := sect.New(p, 0, 3)
 	csbm := make([]bool, len(p.Lines))
-	out := Refine(p, nil, []*sect.Section{ds}, csbm, DefaultOptions())
+	out := Refine(p, nil, []*sect.Section{ds}, csbm, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 1 {
 		t.Fatalf("sections = %d", len(out))
 	}
@@ -112,7 +113,7 @@ func TestBareDSInteriorHeadingSplits(t *testing.T) {
 	</body>`)
 	ds := sect.New(p, 0, 5)
 	csbm := make([]bool, len(p.Lines))
-	out := Refine(p, nil, []*sect.Section{ds}, csbm, DefaultOptions())
+	out := Refine(p, nil, []*sect.Section{ds}, csbm, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(out) != 2 {
 		t.Fatalf("interior heading not split: %d sections", len(out))
 	}
@@ -192,7 +193,7 @@ func TestRefineOutputOrdering(t *testing.T) {
 	ds2.LBM = 7
 	csbm := make([]bool, len(p.Lines))
 	csbm[0], csbm[7] = true, true
-	out := Refine(p, nil, []*sect.Section{ds2, ds1}, csbm, DefaultOptions())
+	out := Refine(p, nil, []*sect.Section{ds2, ds1}, csbm, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	prev := -1
 	for _, s := range out {
 		if s.Start < prev {

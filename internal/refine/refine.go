@@ -36,45 +36,36 @@ import (
 
 // Options control refinement.
 type Options struct {
-	// W is the threshold multiplier of Section 5.3 (1.8 in the paper).
-	W float64
-	// MinDinr floors the inter-record distance of OL when computing the
-	// acceptance threshold W × Dinr(OL); without a floor, sections whose
-	// records are pixel-identical would reject every boundary record.
-	MinDinr       float64
-	LineWeights   visual.LineWeights
-	RecordWeights visual.RecordWeights
 	// MaxBridgeGap is the widest run of CSBM lines between two DSs that a
 	// record-like bridge may falsify (merge across).
 	MaxBridgeGap int
-	// Mining parameterizes the record mining used when unclaimed DS
-	// content is attached to a section.
-	Mining mining.Options
-	// Cancel, when non-nil, is polled before each inter-record distance
-	// threshold — the bulk of refinement's time on pages with long
-	// sections.  core.BuildWrapperCtx installs it; it never needs to be
-	// set by hand.
-	Cancel *cancel.Token
 }
 
 // DefaultOptions returns the paper's parameters.
 func DefaultOptions() Options {
-	return Options{
-		W:             1.8,
-		MinDinr:       0.08,
-		LineWeights:   visual.DefaultLineWeights(),
-		RecordWeights: visual.DefaultRecordWeights(),
-		MaxBridgeGap:  2,
-		Mining:        mining.DefaultOptions(),
-	}
+	return Options{MaxBridgeGap: 2}
+}
+
+// config is one Refine call's parameters: refinement's own options, the
+// shared visual parameters, the record mining used when unclaimed DS
+// content is attached to a section, and the token polled before each
+// W × Dinr threshold (the bulk of refinement's time on pages with long
+// sections).
+type config struct {
+	Options
+	*visual.Params
+	mining mining.Options
+	tok    *cancel.Token
 }
 
 // Refine reconciles the MRs and DSs of one page.  csbm are the page's
 // CSBM marks (used to relocate boundary markers when a boundary is
 // falsified).  The result is the page's refined section list in document
 // order: sections with Records filled in where an MR vouched for them, and
-// record-less sections (for Section 5.4 mining) elsewhere.
-func Refine(page *layout.Page, mrs, dss []*sect.Section, csbm []bool, opt Options) []*sect.Section {
+// record-less sections (for Section 5.4 mining) elsewhere.  tok may be
+// nil.
+func Refine(page *layout.Page, mrs, dss []*sect.Section, csbm []bool, vp *visual.Params, mopt mining.Options, o Options, tok *cancel.Token) []*sect.Section {
+	opt := &config{Options: o, Params: vp, mining: mopt, tok: tok}
 	dss = mergeFalseBoundaries(page, mrs, dss, csbm, opt)
 	var out []*sect.Section
 	for _, ds := range dss {
@@ -87,7 +78,7 @@ func Refine(page *layout.Page, mrs, dss []*sect.Section, csbm []bool, opt Option
 // mergeFalseBoundaries merges adjacent DSs whose separating CSBM lines are
 // bridged by an MR record that resembles the surrounding records — the
 // "LBM is false" branch of Figure 8 lifted to whole boundaries.
-func mergeFalseBoundaries(page *layout.Page, mrs, dss []*sect.Section, csbm []bool, opt Options) []*sect.Section {
+func mergeFalseBoundaries(page *layout.Page, mrs, dss []*sect.Section, csbm []bool, opt *config) []*sect.Section {
 	if len(dss) < 2 {
 		return dss
 	}
@@ -119,7 +110,7 @@ func mergeFalseBoundaries(page *layout.Page, mrs, dss []*sect.Section, csbm []bo
 // lines (a styled heading) is a genuine boundary and never merged: false
 // boundary markers are record-internal strings and look like record
 // content, while real section headings are visually distinctive.
-func bridgeIsRecordLike(page *layout.Page, d1, d2 *sect.Section, mrs []*sect.Section, opt Options) bool {
+func bridgeIsRecordLike(page *layout.Page, d1, d2 *sect.Section, mrs []*sect.Section, opt *config) bool {
 	if gapLooksLikeHeading(page, d1, d2) {
 		return false
 	}
@@ -185,13 +176,9 @@ func gapLooksLikeHeading(page *layout.Page, d1, d2 *sect.Section) bool {
 	return false
 }
 
-func threshold(ol []visual.Block, opt Options) float64 {
-	opt.Cancel.Check()
-	dinr := visual.InterRecordDistance(ol, opt.RecordWeights)
-	if dinr < opt.MinDinr {
-		dinr = opt.MinDinr
-	}
-	return opt.W * dinr
+func threshold(ol []visual.Block, opt *config) float64 {
+	opt.tok.Check()
+	return opt.Threshold(ol)
 }
 
 // maxRefineDepth bounds the recursion on leftover DS pieces.
@@ -201,7 +188,7 @@ const maxRefineDepth = 8
 // refined sections covering the DS range: possibly a record-less left
 // piece, the record-bearing core, and a record-less right piece, with the
 // pieces re-processed against the remaining MRs.
-func processDS(page *layout.Page, ds *sect.Section, mrs []*sect.Section, csbm []bool, opt Options, depth int) []*sect.Section {
+func processDS(page *layout.Page, ds *sect.Section, mrs []*sect.Section, csbm []bool, opt *config, depth int) []*sect.Section {
 	if ds.Len() <= 0 {
 		return nil
 	}
@@ -302,7 +289,7 @@ func processDS(page *layout.Page, ds *sect.Section, mrs []*sect.Section, csbm []
 			out = append(out, processDS(page, leftDS, otherMRs(mrs, best), csbm, opt, depth+1)...)
 			core.LBM = -1
 		} else {
-			attached := mining.MineRecords(page, leftDS.Start, leftDS.End, opt.Mining)
+			attached := mining.MineRecords(page, leftDS.Start, leftDS.End, opt.Params, opt.mining)
 			core.Records = append(attached, core.Records...)
 			core.Start = leftDS.Start
 		}
@@ -316,7 +303,7 @@ func processDS(page *layout.Page, ds *sect.Section, mrs []*sect.Section, csbm []
 			out = append(out, processDS(page, rightDS, otherMRs(mrs, best), csbm, opt, depth+1)...)
 			core.RBM = -1
 		} else {
-			attached := mining.MineRecords(page, rightDS.Start, rightDS.End, opt.Mining)
+			attached := mining.MineRecords(page, rightDS.Start, rightDS.End, opt.Params, opt.mining)
 			core.Records = append(core.Records, attached...)
 			core.End = rightDS.End
 		}
@@ -341,7 +328,7 @@ func hasRecordInside(ds *sect.Section, mrs []*sect.Section) bool {
 // processBare handles a DS with no MR support: a leading heading-like line
 // becomes the section's boundary marker, and interior heading-like lines
 // split the DS into separate sections (hidden boundaries).
-func processBare(page *layout.Page, ds *sect.Section, mrs []*sect.Section, csbm []bool, opt Options, depth int) []*sect.Section {
+func processBare(page *layout.Page, ds *sect.Section, mrs []*sect.Section, csbm []bool, opt *config, depth int) []*sect.Section {
 	if ds.Len() <= 0 {
 		return nil
 	}
@@ -463,7 +450,7 @@ func decorated(a layout.TextAttr) bool {
 // from start..end; forward=false grows leftward (tentative records end at
 // `end`).  Accepted records are returned in document order; ol is treated
 // as read-only.
-func consumeED(page *layout.Page, start, end int, ol []visual.Block, opt Options, forward bool) []visual.Block {
+func consumeED(page *layout.Page, start, end int, ol []visual.Block, opt *config, forward bool) []visual.Block {
 	var accepted []visual.Block
 	all := append([]visual.Block(nil), ol...)
 	for start < end {

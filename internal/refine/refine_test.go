@@ -8,10 +8,14 @@ import (
 	"mse/internal/dse"
 	"mse/internal/htmlparse"
 	"mse/internal/layout"
+	"mse/internal/mining"
 	"mse/internal/mre"
 	"mse/internal/sect"
 	"mse/internal/visual"
 )
+
+// testParams are the paper's shared similarity parameters.
+var testParams = visual.DefaultParams()
 
 func render(src string) *layout.Page {
 	return layout.Render(htmlparse.Parse(src))
@@ -26,10 +30,10 @@ func pipelineTo(t *testing.T, srcs []string, queries [][]string) (*layout.Page, 
 		p := render(src)
 		pages = append(pages, p)
 		ins = append(ins, &dse.PageInput{Page: p, Query: queries[i],
-			MRs: mre.Extract(p, mre.DefaultOptions())})
+			MRs: mre.Extract(p, &testParams, mre.DefaultOptions(), nil)})
 	}
 	dss, marks := dse.Run(ins, dse.DefaultOptions())
-	refined := Refine(pages[0], ins[0].MRs, dss[0], marks[0], DefaultOptions())
+	refined := Refine(pages[0], ins[0].MRs, dss[0], marks[0], &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	return pages[0], ins[0].MRs, refined, marks[0]
 }
 
@@ -151,7 +155,7 @@ func TestRefineCase4TrimsOverextendedMR(t *testing.T) {
 	for i := range csbm {
 		csbm[i] = i < first || i > last
 	}
-	refined := Refine(p, []*sect.Section{mr}, []*sect.Section{ds}, csbm, DefaultOptions())
+	refined := Refine(p, []*sect.Section{mr}, []*sect.Section{ds}, csbm, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(refined) != 1 {
 		t.Fatalf("refined = %d sections, want 1", len(refined))
 	}
@@ -174,7 +178,7 @@ func TestRefineMergesFalseBoundary(t *testing.T) {
 	<div><a href="/4">Item Four</a><br>fourth snippet</div>
 	</body>`)
 	// Lines: 0=Items, 1..8 records (2 lines each).
-	mrs := mre.Extract(p, mre.DefaultOptions())
+	mrs := mre.Extract(p, &testParams, mre.DefaultOptions(), nil)
 	if len(mrs) == 0 {
 		t.Fatalf("MRE found nothing")
 	}
@@ -186,7 +190,7 @@ func TestRefineMergesFalseBoundary(t *testing.T) {
 	ds1.RBM = 4
 	ds2 := sect.New(p, 5, len(p.Lines))
 	ds2.LBM = 4
-	refined := Refine(p, mrs, []*sect.Section{ds1, ds2}, csbm, DefaultOptions())
+	refined := Refine(p, mrs, []*sect.Section{ds1, ds2}, csbm, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	// All four records must end up in one section.
 	for _, s := range refined {
 		if strings.Contains(s.Block().Text(), "Item One") {
@@ -204,11 +208,11 @@ func TestRefineMergesFalseBoundary(t *testing.T) {
 
 func TestRefineEmptyInputs(t *testing.T) {
 	p := render(`<body><p>x</p></body>`)
-	if got := Refine(p, nil, nil, []bool{false}, DefaultOptions()); got != nil {
+	if got := Refine(p, nil, nil, []bool{false}, &testParams, mining.DefaultOptions(), DefaultOptions(), nil); got != nil {
 		t.Fatalf("no DSs should refine to nil, got %v", got)
 	}
 	ds := sect.New(p, 0, 1)
-	got := Refine(p, nil, []*sect.Section{ds}, []bool{false}, DefaultOptions())
+	got := Refine(p, nil, []*sect.Section{ds}, []bool{false}, &testParams, mining.DefaultOptions(), DefaultOptions(), nil)
 	if len(got) != 1 || got[0] != ds {
 		t.Fatalf("bare DS should pass through")
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -247,25 +246,23 @@ func perSecond(n int64, uptime time.Duration) float64 {
 // with their generations, the drift tracker, the extraction cache counters
 // and the shard assignment.
 type StatusInfo struct {
-	Engines     []string
-	Status      map[string]EngineStatus
-	Parallelism int
-	Quality     *quality.Tracker
-	Cache       excache.Stats
-	CacheOn     bool
-	ShardIndex  int
-	ShardCount  int
-	Sharded     bool
-	Relearn     relearn.Stats
-	RelearnOn   bool
+	Engines    []string
+	Status     map[string]EngineStatus
+	Quality    *quality.Tracker
+	Cache      excache.Stats
+	CacheOn    bool
+	ShardIndex int
+	ShardCount int
+	Sharded    bool
+	Relearn    relearn.Stats
+	RelearnOn  bool
 }
 
 // writeStatusz renders the human-readable status page: uptime, in-flight
-// count, pipeline parallelism, shard assignment, the extraction and
-// tree-distance cache counters, pool reuse rates, and a deterministically
-// sorted per-engine table of request counts, uptime-relative request
-// rates, latency quantiles, wrapper generations with last-swap ages and
-// drift verdicts.
+// count, shard assignment, the extraction and tree-distance cache
+// counters, pool reuse rates, and a deterministically sorted per-engine
+// table of request counts, uptime-relative request rates, latency
+// quantiles, wrapper generations with last-swap ages and drift verdicts.
 func (m *Metrics) writeStatusz(w io.Writer, info StatusInfo) {
 	uptime := m.Uptime()
 	fmt.Fprintf(w, "mse-serve status\n")
@@ -279,11 +276,6 @@ func (m *Metrics) writeStatusz(w io.Writer, info StatusInfo) {
 	if info.Sharded {
 		fmt.Fprintf(w, "shard: %d/%d (consistent hashing, %d vnodes/shard)\n",
 			info.ShardIndex, info.ShardCount, shard.VirtualNodes)
-	}
-	if info.Parallelism <= 0 {
-		fmt.Fprintf(w, "parallelism: GOMAXPROCS (%d)\n", runtime.GOMAXPROCS(0))
-	} else {
-		fmt.Fprintf(w, "parallelism: %d\n", info.Parallelism)
 	}
 	cs := info.Cache
 	fmt.Fprintf(w, "excache: enabled=%v entries=%d bytes=%d/%d hits=%d misses=%d collapsed=%d evictions=%d invalidated=%d hit-rate=%.1f%%\n",
@@ -351,5 +343,5 @@ func fmtQuantile(h *obs.Histogram, q float64) string {
 	if h.Count() == 0 {
 		return "-"
 	}
-	return h.Quantile(q).Round(100 * time.Microsecond).String()
+	return h.Quantile(q).Round(time.Microsecond).String()
 }

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mse/internal/obs"
 )
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -113,6 +115,20 @@ func TestStatusz(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("statusz missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestStatuszQuantileMicroseconds checks that /statusz prints a
+// sub-millisecond latency quantile to the microsecond: three 130µs
+// extractions interpolate to 199µs at p99 inside the (100µs, 200µs]
+// bucket.
+func TestStatuszQuantileMicroseconds(t *testing.T) {
+	h := obs.NewHistogram(nil)
+	for i := 0; i < 3; i++ {
+		h.Observe(130 * time.Microsecond)
+	}
+	if got := fmtQuantile(h, 0.99); got != "199µs" {
+		t.Fatalf("p99 = %s, want 199µs", got)
 	}
 }
 

@@ -116,7 +116,10 @@ func TestRelearnHealLoopEndToEnd(t *testing.T) {
 	// The drifting engine: original template up to query index warm,
 	// redesigned template from there on.
 	warm := qcfg.WarmupPages + 4
-	de := synth.NewDriftingEngine(eng, warm)
+	de := synth.NewScheduledEngine(eng)
+	if err := de.Cutover(warm, eng.Drifted()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Phase 1: warm the drift baseline on the original template.
 	for q := 0; q < warm; q++ {
@@ -341,7 +344,10 @@ func TestRelearnSnapshotHoldsTrippingPage(t *testing.T) {
 	defer srv.Close()
 
 	warm := qcfg.WarmupPages + 4
-	de := synth.NewDriftingEngine(eng, warm)
+	de := synth.NewScheduledEngine(eng)
+	if err := de.Cutover(warm, eng.Drifted()); err != nil {
+		t.Fatal(err)
+	}
 	var trip *synth.GenPage
 	for q := 0; q < warm+200 && trip == nil; q++ {
 		gp := de.Page(q)

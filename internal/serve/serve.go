@@ -361,17 +361,16 @@ func (r *Registry) Handler() http.Handler {
 func (r *Registry) statusInfo() StatusInfo {
 	idx, total, sharded := r.ShardInfo()
 	return StatusInfo{
-		Engines:     r.Names(),
-		Status:      r.Status(),
-		Parallelism: r.opts.Parallelism,
-		Quality:     r.quality,
-		Cache:       r.cache.Stats(),
-		CacheOn:     r.cache != nil,
-		ShardIndex:  idx,
-		ShardCount:  total,
-		Sharded:     sharded,
-		Relearn:     r.relearn.Stats(),
-		RelearnOn:   r.relearn != nil,
+		Engines:    r.Names(),
+		Status:     r.Status(),
+		Quality:    r.quality,
+		Cache:      r.cache.Stats(),
+		CacheOn:    r.cache != nil,
+		ShardIndex: idx,
+		ShardCount: total,
+		Sharded:    sharded,
+		Relearn:    r.relearn.Stats(),
+		RelearnOn:  r.relearn != nil,
 	}
 }
 

@@ -78,39 +78,13 @@ func (e *Engine) Revealed() *Engine {
 	return &Engine{ID: e.ID, Name: e.Name, Schema: ps, seed: e.seed}
 }
 
-// DriftingEngine models an engine redesigning its template mid-run: pages
-// before DriftAt render with the original template, pages at or past it
-// with the drifted one.  It is the drift-then-recover fixture for
-// self-healing tests — serve queries 0..DriftAt-1 to warm a baseline, keep
-// querying past DriftAt, and the served traffic itself carries everything
-// a relearner needs to re-learn the new template.
-type DriftingEngine struct {
-	Orig *Engine
-	New  *Engine
-	// DriftAt is the first query index served with the new template.
-	DriftAt int
-}
-
-// NewDriftingEngine pairs an engine with its Drifted redesign, cutting
-// over at query index driftAt.
-func NewDriftingEngine(e *Engine, driftAt int) *DriftingEngine {
-	return &DriftingEngine{Orig: e, New: e.Drifted(), DriftAt: driftAt}
-}
-
-// Page generates result page queryIdx under whichever template is live at
-// that index.  Ground truth tracks the live template, so extraction
-// correctness stays checkable across the cut-over.
-func (d *DriftingEngine) Page(queryIdx int) *GenPage {
-	if queryIdx >= d.DriftAt {
-		return d.New.Page(queryIdx)
-	}
-	return d.Orig.Page(queryIdx)
-}
-
-// ScheduledEngine generalizes DriftingEngine to an arbitrary sequence of
-// template cutovers over virtual time (the engine's own query index): the
+// ScheduledEngine models an engine redesigning its template mid-run, any
+// number of times, over virtual time (the engine's own query index): the
 // base template serves queries [0, c1), the first cutover's template
-// serves [c1, c2), and so on.  Every cutover can be any derived engine —
+// serves [c1, c2), and so on.  One Drifted() cutover is the
+// drift-then-recover fixture of the self-healing tests: the served
+// traffic itself carries everything a relearner needs to re-learn the new
+// template.  Every cutover can be any derived engine —
 // Drifted() redesigns, Revealed() hidden-section appearances, or stacked
 // combinations — so a scenario can replay a multi-year redesign history
 // against one wrapper lifecycle.

@@ -41,6 +41,36 @@ func DefaultRecordWeights() RecordWeights {
 	return RecordWeights{Forest: 0.2, Type: 0.2, Shape: 0.2, Position: 0.2, Attr: 0.2}
 }
 
+// Params are the similarity parameters every pipeline stage shares: the
+// weights of Formulas 3 and 4 and the dissimilarity threshold that both
+// refinement (§5.3) and granularity resolution (§5.5) test against.
+type Params struct {
+	LineWeights   LineWeights
+	RecordWeights RecordWeights
+	// W is the threshold multiplier of §5.3 and §5.5 (1.8 in the paper).
+	W float64
+	// MinDinr floors Dinr when forming the W × Dinr threshold; without a
+	// floor, records that are pixel-identical would reject every other
+	// record.
+	MinDinr float64
+}
+
+// DefaultParams returns the paper's parameters.
+func DefaultParams() Params {
+	return Params{
+		LineWeights:   DefaultLineWeights(),
+		RecordWeights: DefaultRecordWeights(),
+		W:             1.8,
+		MinDinr:       0.08,
+	}
+}
+
+// Threshold is W × max(Dinr(records), MinDinr): a block whose average
+// distance to records exceeds it is alien to them.
+func (p *Params) Threshold(records []Block) float64 {
+	return p.W * math.Max(InterRecordDistance(records, p.RecordWeights), p.MinDinr)
+}
+
 // TypeDistance (Dtl) is the distance between two content-line type codes,
 // in [0, 1].  Identical types have distance 0; types within the same broad
 // family (link vs link-text, image vs image-text) are closer than

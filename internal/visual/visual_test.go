@@ -194,6 +194,25 @@ func TestInterRecordDistance(t *testing.T) {
 	}
 }
 
+// TestThreshold checks W × max(Dinr, MinDinr): a single record has Dinr
+// 0, so the floor decides; a spread-out partition scales its own Dinr.
+func TestThreshold(t *testing.T) {
+	p := recordPage()
+	vp := DefaultParams()
+	one := []Block{{Page: p, Start: 0, End: 2}}
+	if got, want := vp.Threshold(one), vp.W*vp.MinDinr; got != want {
+		t.Fatalf("floored threshold = %g, want %g", got, want)
+	}
+	lines := []Block{{Page: p, Start: 0, End: 1}, {Page: p, Start: 1, End: 2}, {Page: p, Start: 2, End: 3}}
+	dinr := InterRecordDistance(lines, vp.RecordWeights)
+	if dinr <= vp.MinDinr {
+		t.Fatalf("Dinr of mixed lines = %g, want above the floor %g", dinr, vp.MinDinr)
+	}
+	if got, want := vp.Threshold(lines), vp.W*dinr; got != want {
+		t.Fatalf("threshold = %g, want %g", got, want)
+	}
+}
+
 func TestAvgRecordDistance(t *testing.T) {
 	p := recordPage()
 	w := DefaultRecordWeights()

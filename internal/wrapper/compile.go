@@ -24,6 +24,7 @@ package wrapper
 import (
 	"strings"
 
+	"mse/internal/cancel"
 	"mse/internal/dom"
 	"mse/internal/layout"
 	"mse/internal/mining"
@@ -174,7 +175,8 @@ func Compile(w *SectionWrapper) *CompiledWrapper {
 // the section: the paper's SBMs "precisely bound sections" (§2), and on
 // pages where other sections are hidden the sibling offsets shift while
 // the markers stay.
-func (cw *CompiledWrapper) Apply(p *layout.Page, cands []*dom.Node, query []string, opt Options) *ExtractedSection {
+func (cw *CompiledWrapper) Apply(p *layout.Page, cands []*dom.Node, query []string, vp *visual.Params, mopt mining.Options, tok *cancel.Token) *ExtractedSection {
+	opt := applyParams{vp: vp, mining: mopt, tok: tok}
 	sc := acquireApplyScratch()
 	defer applyScratchPool.Put(sc)
 	sc.cleaner.Reset(query)
@@ -184,7 +186,7 @@ func (cw *CompiledWrapper) Apply(p *layout.Page, cands []*dom.Node, query []stri
 		cands = cands[:maxCandidates]
 	}
 	for _, t := range cands {
-		opt.Cancel.Check()
+		opt.tok.Check()
 		if s := cw.applyAt(p, t, sc, opt); s != nil {
 			return s
 		}
@@ -194,7 +196,7 @@ func (cw *CompiledWrapper) Apply(p *layout.Page, cands []*dom.Node, query []stri
 
 // applyAt attempts extraction with t as the section subtree; nil when the
 // candidate fails boundary validation.
-func (cw *CompiledWrapper) applyAt(p *layout.Page, t *dom.Node, sc *applyScratch, opt Options) *ExtractedSection {
+func (cw *CompiledWrapper) applyAt(p *layout.Page, t *dom.Node, sc *applyScratch, opt applyParams) *ExtractedSection {
 	w := cw.w
 	first, last, ok := p.Span(t)
 	if !ok {
@@ -249,14 +251,23 @@ func (cw *CompiledWrapper) applyAt(p *layout.Page, t *dom.Node, sc *applyScratch
 	}
 }
 
+// applyParams are one application's record-mining parameters, for the
+// fallback when a separator does not match the page, and the token polled
+// before each candidate subtree is validated and partitioned.
+type applyParams struct {
+	vp     *visual.Params
+	mining mining.Options
+	tok    *cancel.Token
+}
+
 // partition splits [start, end) into records with the separator, falling
 // back to cohesion-based mining when the separator does not match this
 // page.
-func (cs *compiledSep) partition(p *layout.Page, start, end int, sc *applyScratch, opt Options) []visual.Block {
+func (cs *compiledSep) partition(p *layout.Page, start, end int, sc *applyScratch, opt applyParams) []visual.Block {
 	if blocks := partitionBySepCompiled(p, start, end, cs, sc); blocks != nil {
 		return blocks
 	}
-	return mining.MineRecords(p, start, end, opt.Mining)
+	return mining.MineRecords(p, start, end, opt.vp, opt.mining)
 }
 
 // partitionBySepCompiled applies a separator to a line range; nil when the
@@ -359,7 +370,8 @@ func CompileFamily(f *Family) *CompiledFamily {
 // dom.LocateCompactAll order and the first is the shared subtree; for
 // Type 2 they are the Pref+SPref pattern matches in document order, as
 // dom.LocatePattern produces them.
-func (cf *CompiledFamily) ApplyCands(p *layout.Page, cands []*dom.Node, opt Options) []*ExtractedSection {
+func (cf *CompiledFamily) ApplyCands(p *layout.Page, cands []*dom.Node, vp *visual.Params, mopt mining.Options, tok *cancel.Token) []*ExtractedSection {
+	opt := applyParams{vp: vp, mining: mopt, tok: tok}
 	sc := acquireApplyScratch()
 	defer applyScratchPool.Put(sc)
 	switch cf.f.Type {
@@ -376,7 +388,7 @@ func (cf *CompiledFamily) ApplyCands(p *layout.Page, cands []*dom.Node, opt Opti
 
 // applyType1 splits the shared subtree's lines at boundary lines carrying
 // the family's LBM attributes.
-func (cf *CompiledFamily) applyType1(p *layout.Page, t *dom.Node, sc *applyScratch, opt Options) []*ExtractedSection {
+func (cf *CompiledFamily) applyType1(p *layout.Page, t *dom.Node, sc *applyScratch, opt applyParams) []*ExtractedSection {
 	f := cf.f
 	first, last, ok := p.Span(t)
 	if !ok {
@@ -401,7 +413,7 @@ func (cf *CompiledFamily) applyType1(p *layout.Page, t *dom.Node, sc *applyScrat
 	}
 	for i := first; i <= last; i++ {
 		if attrSetEqual(p.Lines[i].Attrs, f.LBMAttrs) {
-			opt.Cancel.Check()
+			opt.tok.Check()
 			flush(i)
 			heading = p.Lines[i].Text
 			secStart = i + 1
@@ -414,11 +426,11 @@ func (cf *CompiledFamily) applyType1(p *layout.Page, t *dom.Node, sc *applyScrat
 // applyType2 takes each pattern match as one member section.  Matches
 // arrive in document order and never nest, so the sections come out
 // sorted by Start.
-func (cf *CompiledFamily) applyType2(p *layout.Page, matches []*dom.Node, sc *applyScratch, opt Options) []*ExtractedSection {
+func (cf *CompiledFamily) applyType2(p *layout.Page, matches []*dom.Node, sc *applyScratch, opt applyParams) []*ExtractedSection {
 	f := cf.f
 	var out []*ExtractedSection
 	for _, t := range matches {
-		opt.Cancel.Check()
+		opt.tok.Check()
 		first, last, ok := p.Span(t)
 		if !ok {
 			continue

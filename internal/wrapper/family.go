@@ -43,7 +43,7 @@ type Family struct {
 // BuildFamilies scans the section wrappers for Type 1 and Type 2 families
 // (§5.8).  Wrappers combined into a family are removed from the returned
 // wrapper list, as the paper prescribes.
-func BuildFamilies(wrappers []*SectionWrapper, opt Options) ([]*SectionWrapper, []*Family) {
+func BuildFamilies(wrappers []*SectionWrapper) ([]*SectionWrapper, []*Family) {
 	var families []*Family
 	remaining := append([]*SectionWrapper(nil), wrappers...)
 

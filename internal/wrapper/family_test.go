@@ -63,9 +63,9 @@ func buildFamilyWrappers(t *testing.T) ([]*SectionWrapper, []*Family) {
 	}
 	var ws []*SectionWrapper
 	for order, g := range groups {
-		ws = append(ws, Build(g, pages, order, DefaultOptions()))
+		ws = append(ws, Build(g, pages, order))
 	}
-	return BuildFamilies(ws, DefaultOptions())
+	return BuildFamilies(ws)
 }
 
 func TestBuildFamiliesCombinesSameFormatSections(t *testing.T) {
@@ -209,9 +209,9 @@ func TestBuildFamiliesRejectsDifferentFormats(t *testing.T) {
 	}
 	var ws []*SectionWrapper
 	for order, g := range groups {
-		ws = append(ws, Build(g, pages, order, DefaultOptions()))
+		ws = append(ws, Build(g, pages, order))
 	}
-	remaining, fams := BuildFamilies(ws, DefaultOptions())
+	remaining, fams := BuildFamilies(ws)
 	if len(fams) != 0 {
 		t.Fatalf("different-format wrappers formed a family")
 	}

@@ -14,12 +14,10 @@ package wrapper
 import (
 	"sort"
 
-	"mse/internal/cancel"
 	"mse/internal/dom"
 	"mse/internal/dse"
 	"mse/internal/layout"
 	"mse/internal/mining"
-	"mse/internal/visual"
 
 	"mse/internal/cluster"
 )
@@ -69,30 +67,9 @@ type SectionWrapper struct {
 	Order int
 }
 
-// Options control wrapper construction and application.
-type Options struct {
-	Mining        mining.Options
-	LineWeights   visual.LineWeights
-	RecordWeights visual.RecordWeights
-	// Cancel, when non-nil, is polled by Apply before each candidate
-	// subtree is validated and partitioned, so a canceled context aborts
-	// extraction between candidates.  core's ctx-accepting entry points
-	// install it; it is never serialized with a wrapper.
-	Cancel *cancel.Token `json:"-"`
-}
-
-// DefaultOptions returns the defaults.
-func DefaultOptions() Options {
-	return Options{
-		Mining:        mining.DefaultOptions(),
-		LineWeights:   visual.DefaultLineWeights(),
-		RecordWeights: visual.DefaultRecordWeights(),
-	}
-}
-
 // Build constructs a section wrapper from one instance group (§5.7).
 // pages[i] must be the PageSections the group's instances refer to.
-func Build(group *cluster.Group, pages []*cluster.PageSections, order int, opt Options) *SectionWrapper {
+func Build(group *cluster.Group, pages []*cluster.PageSections, order int) *SectionWrapper {
 	w := &SectionWrapper{Order: order}
 
 	// --- pref: merge the instances' compact paths ---

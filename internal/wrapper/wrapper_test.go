@@ -10,6 +10,7 @@ import (
 	"mse/internal/dom"
 	"mse/internal/htmlparse"
 	"mse/internal/layout"
+	"mse/internal/mining"
 	"mse/internal/sect"
 	"mse/internal/visual"
 )
@@ -18,11 +19,14 @@ func render(src string) *layout.Page {
 	return layout.Render(htmlparse.Parse(src))
 }
 
+// testParams are the default parameters of the record-mining fallback.
+var testParams = visual.DefaultParams()
+
 // applyWrapper runs w's compiled form on p with the candidates
 // dom.LocateCompactAll finds for its Pref: the list the prune pass hands
 // it during extraction.
 func applyWrapper(w *SectionWrapper, p *layout.Page, query []string) *ExtractedSection {
-	return Compile(w).Apply(p, dom.LocateCompactAll(p.Doc, w.Pref), query, DefaultOptions())
+	return Compile(w).Apply(p, dom.LocateCompactAll(p.Doc, w.Pref), query, &testParams, mining.DefaultOptions(), nil)
 }
 
 // applyFamily is applyWrapper for a family, with the candidates the prune
@@ -37,7 +41,7 @@ func applyFamily(f *Family, p *layout.Page) []*ExtractedSection {
 		pattern := append(append(dom.CompactPath(nil), f.Pref...), f.SPref...)
 		cands = dom.LocatePattern(p.Doc, pattern, len(f.Pref))
 	}
-	return CompileFamily(f).ApplyCands(p, cands, DefaultOptions())
+	return CompileFamily(f).ApplyCands(p, cands, &testParams, mining.DefaultOptions(), nil)
 }
 
 // sectionPage builds a page with one heading + n two-line records in a
@@ -69,7 +73,7 @@ func buildTestWrapper(t *testing.T) (*SectionWrapper, []*cluster.PageSections) {
 		pages = append(pages, ps)
 		grp.Instances = append(grp.Instances, cluster.NewInstance(i, ps, s))
 	}
-	return Build(grp, pages, 0, DefaultOptions()), pages
+	return Build(grp, pages, 0), pages
 }
 
 func TestBuildWrapperComponents(t *testing.T) {

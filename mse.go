@@ -60,8 +60,10 @@ type Section = core.Section
 type Record = core.Record
 
 // Options tune the pipeline; the zero value is not valid — use
-// DefaultOptions and modify fields.  All parameters default to the
-// paper's values (W = 1.8, K = 0.127, equal feature weights).
+// DefaultOptions and modify fields.  Each parameter has exactly one
+// field, so setting opt.W moves the threshold of both refinement and
+// granularity resolution.  All parameters default to the paper's values
+// (W = 1.8, equal feature weights).
 type Options = core.Options
 
 // DefaultOptions returns the paper's parameter settings.
